@@ -1,10 +1,8 @@
-"""Pure-numpy kernels for the synthetic logits oracle.
+"""Numpy kernels for the synthetic logits oracle.
 
-Bit-identical to the compiled versions in ``_kernels_c``: the hash is plain
-splitmix64 over wrapping 64-bit arithmetic and the float mapping is a single
-multiply by 2^-64, so both backends produce the same doubles. The batched
-``raw_logits_rows`` and the running ``Fold`` have no compiled counterpart;
-the oracle uses them under either backend.
+The hash is plain splitmix64 over wrapping 64-bit arithmetic and the float
+mapping is a single multiply by 2^-64, so every output is exact and
+platform-independent (pinned by golden values in ``tests/test_kernels.py``).
 """
 
 from typing import List, Optional, Sequence
@@ -78,7 +76,7 @@ class Fold:
     def digest(self) -> int:
         return mix64(self.acc)
 
-    def prefix_digests(self, tokens, indices) -> List[int]:
+    def continuation_digests(self, tokens, indices) -> List[int]:
         """Digests after adding the first i pairs, for i = 0..n; the fold
         itself is left unchanged."""
         h = pair_hashes(tokens, indices)

@@ -1,21 +1,10 @@
-"""Kernel backend selection.
+"""The oracle's kernel module under the names external tools read.
 
-The compiled extension is preferred when importable; set
-``ENTROPIX_BACKEND=python`` to force the numpy fallback (used by the
-backend-parity tests and the benchmark).
+There is one kernel implementation, the numpy ``_kernels_py``; this module
+stays because ``perfbench/`` looks the kernels up as ``backend.kernels``
+and records ``backend.BACKEND`` with each run.
 """
 
-import os
+from entropix import _kernels_py as kernels
 
-from entropix import _kernels_py
-
-if os.environ.get("ENTROPIX_BACKEND", "").lower() == "python":
-    kernels = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from entropix import _kernels_c as kernels  # type: ignore[no-redef]
-        BACKEND = "cython"
-    except ImportError:
-        kernels = _kernels_py
-        BACKEND = "python"
+BACKEND = "python"

@@ -5,7 +5,8 @@ Subcommands:
   sweep <config> <param> <v1,...>   rerun while varying one parameter
   entropy-map <config>              write only the entropy map artifacts
 
-Exit codes: 0 success, 2 config parse failure, 3 invalid parameters.
+Exit codes: 0 success, 2 config parse failure, 3 invalid parameters
+(including an out_dir that cannot be written).
 """
 
 import argparse
@@ -43,6 +44,7 @@ class RunResult:
     model_invocations: int
     stats: Optional[SpecStats]
     wall_time: float
+    scale_mean_entropy: Optional[List[float]] = None  # scale mode only
 
 
 def build_oracle(cfg: RunConfig) -> Oracle:
@@ -104,11 +106,9 @@ def run(cfg: RunConfig) -> RunResult:
         sp = ScaleTempParams(cfg.beta, len(ladder), cfg.floor_temperature)
         grids, emaps, mean_eps, temps = scale_generate(
             oracle, ladder, tp, sp, rng, cfg.top_k, cfg.top_p, cfg.cfg_scale)
-        result = RunResult(grids[-1], emaps[-1], temps,
-                           sum(g.size for g in grids), len(ladder), None,
-                           time.perf_counter() - start)
-        result.scale_mean_entropy = mean_eps  # extra artifact for scale mode
-        return result
+        return RunResult(grids[-1], emaps[-1], temps,
+                         sum(g.size for g in grids), len(ladder), None,
+                         time.perf_counter() - start, mean_eps)
 
     if cfg.mode in ("spec-baseline", "spec-entropy"):
         mode = ENTROPY_AWARE if cfg.mode == "spec-entropy" else BASELINE
@@ -232,7 +232,7 @@ def write_artifacts(cfg: RunConfig, res: RunResult, out_dir: str,
             f.write(",".join(str(int(v)) for v in row) + "\n")
     row = report_row(cfg, res)
     write_csv(os.path.join(out_dir, "report.csv"), list(row), [row])
-    if hasattr(res, "scale_mean_entropy"):
+    if res.scale_mean_entropy is not None:
         with open(os.path.join(out_dir, "scales.csv"), "w", newline="\n") as f:
             f.write("scale,mean_entropy\n")
             for s, m in enumerate(res.scale_mean_entropy, start=1):
@@ -337,6 +337,11 @@ def main(argv=None) -> int:
         return 2
     except (ConfigValueError, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        # the config file was read already, so this is out_dir
+        print(f"invalid parameters: cannot write artifacts: {exc}",
+              file=sys.stderr)
         return 3
     return 0
 

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from entropix import _kernels_py
-from entropix.backend import kernels
 
 GAP_MAX = 30.0
 
@@ -81,17 +80,11 @@ class Oracle:
         return float(self._kappa_flat[linear_pos % self._n])
 
     def _pos_key(self, linear_pos: int, conditional: bool) -> int:
-        key = kernels.mix64((self.cfg.seed ^ kernels.mix64(linear_pos * POS_SALT & ((1 << 64) - 1))) & ((1 << 64) - 1))
+        mix64, mask = _kernels_py.mix64, _kernels_py.MASK64
+        key = mix64((self.cfg.seed ^ mix64(linear_pos * POS_SALT & mask)) & mask)
         if not conditional:
-            key = kernels.mix64(key ^ UNCOND_SALT)
+            key = mix64(key ^ UNCOND_SALT)
         return key
-
-    def prefix_digest(self, tokens: Sequence[int], indices: Sequence[int]) -> int:
-        t = np.asarray(tokens, dtype=np.uint64)
-        i = np.asarray(indices, dtype=np.uint64)
-        if t.shape != i.shape:
-            raise ValueError("tokens and indices must have equal length")
-        return kernels.prefix_fold(t, i)
 
     def logits_at(self, linear_pos: int, prefix_tokens: Sequence[int],
                   prefix_indices: Optional[Sequence[int]] = None,
@@ -127,8 +120,8 @@ class Oracle:
         if toks.size and (toks.min() < 0 or toks.max() > mid):
             raise ValueError("invalid token id in prefix")
         keep = toks != mid
-        return kernels.prefix_fold(toks[keep].astype(np.uint64),
-                                   idxs[keep].astype(np.uint64))
+        return _kernels_py.prefix_fold(toks[keep].astype(np.uint64),
+                                       idxs[keep].astype(np.uint64))
 
     def _row_args(self, linear_pos: int, digest: int, conditional: bool,
                   kappa: Optional[float]) -> Tuple[int, int, int, float]:
@@ -137,7 +130,7 @@ class Oracle:
         if linear_pos < 0:
             raise ValueError("position out of range")
         pk = self._pos_key(linear_pos, conditional)
-        ctx = kernels.mix64(pk ^ digest) \
+        ctx = _kernels_py.mix64(pk ^ digest) \
             if self.cfg.context_sensitivity != 0.0 else 0
         if kappa is None:
             kappa = self.kappa_at(linear_pos)
@@ -148,14 +141,14 @@ class Oracle:
                            kappa: Optional[float] = None) -> np.ndarray:
         """As logits_at, but with the conditioning digest precomputed.
 
-        This is the one-row case of ``logits_rows``, run by the backend's
-        one-row kernel (compiled when the extension is built); decoders that
-        score several positions at once call the batched query instead.
+        This is the one-row case of ``logits_rows``, run by the one-row
+        kernel ``raw_logits``; decoders that score several positions at once
+        call the batched query instead.
         """
         pk, ctx, tstar, gap = self._row_args(linear_pos, digest, conditional,
                                              kappa)
-        return kernels.raw_logits(pk, ctx, self.cfg.context_sensitivity,
-                                  self.cfg.vocab, tstar, gap)
+        return _kernels_py.raw_logits(pk, ctx, self.cfg.context_sensitivity,
+                                      self.cfg.vocab, tstar, gap)
 
     def logits_rows(self, positions: Sequence[int], digests: Sequence[int],
                     conditional: bool = True,
@@ -166,9 +159,8 @@ class Oracle:
         A decode step that scores many positions (every open mask position,
         every Jacobi window slot, every position of a scale) makes this
         single call, as one forward pass would. ``kappas`` overrides the
-        profile lookup per row. Rows are computed by the numpy
-        ``raw_logits_rows`` under either backend; it is bit-identical to
-        ``raw_logits``, so row n equals
+        profile lookup per row. Rows are computed by ``raw_logits_rows``,
+        which is bit-identical to ``raw_logits``, so row n equals
         ``logits_from_digest(positions[n], digests[n])``.
         """
         n = len(positions)
@@ -224,4 +216,5 @@ class RunningDigest:
 
     def continuation_digests(self, tokens: Sequence[int]) -> List[int]:
         """Digests of prefix + tokens[:i] for i = 0..len(tokens)."""
-        return self._fold.prefix_digests(tokens, self._indices(len(tokens)))
+        return self._fold.continuation_digests(tokens,
+                                               self._indices(len(tokens)))

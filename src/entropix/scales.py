@@ -6,6 +6,7 @@ the linear form goes negative for late scales.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,21 +35,17 @@ class ScaleTempParams:
             raise ValueError("floor_temperature must be positive")
 
 
-def scale_temperature(temperature: float, s: int, sp: ScaleTempParams) -> float:
-    """Decayed temperature for 1-based scale index s; always > 0."""
+def scale_temperature(temperature, s: int, sp: ScaleTempParams):
+    """Decayed temperature for 1-based scale index s; always > 0.
+
+    ``temperature`` may be a scalar or an array of per-row temperatures.
+    """
     if not 1 <= s <= sp.s_count:
         raise ValueError("scale index out of range")
-    if temperature <= 0:
+    if np.any(np.asarray(temperature) <= 0):
         raise ValueError("nonpositive temperature")
     raw = temperature * (1.0 - sp.beta * (s - sp.s_count // 2))
-    return max(raw, sp.floor_temperature)
-
-
-def scale_factor(s: int, sp: ScaleTempParams) -> float:
-    """Multiplier applied to the dynamic temperature at scale s (unclamped)."""
-    if not 1 <= s <= sp.s_count:
-        raise ValueError("scale index out of range")
-    return 1.0 - sp.beta * (s - sp.s_count // 2)
+    return np.maximum(raw, sp.floor_temperature)
 
 
 def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
@@ -78,7 +75,6 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
     for s, (h, w) in enumerate(ladder, start=1):
         if h < 1 or w < 1:
             raise ValueError("invalid scale shape")
-        factor = scale_factor(s, sp)
         positions = s * SCALE_STRIDE + np.arange(h * w)
         # sample the profile at the matching relative location
         i, j = np.divmod(np.arange(h * w), w)
@@ -95,7 +91,7 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
                                         kappas=kappas)
         probs, eps, t = pipeline_probs(
             logits, uncond, cfg_scale, tp, top_k, top_p,
-            temperature_scale=factor, floor_temperature=sp.floor_temperature)
+            adjust_temperature=partial(scale_temperature, s=s, sp=sp))
         # one uniform per position in row-major order
         tokens = dist.sample_rows(probs, rng.uniforms(h * w))
         temps.extend(t)

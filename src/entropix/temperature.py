@@ -7,7 +7,7 @@ top-p -> softmax -> categorical draw.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,13 +76,12 @@ def pipeline_probs(cond_logits,
                    tp: TempParams = PRESETS["llamagen"],
                    top_k: Optional[int] = None,
                    top_p: Optional[float] = None,
-                   temperature_scale: float = 1.0,
-                   floor_temperature: float = 0.05):
+                   adjust_temperature: Optional[Callable] = None):
     """Run the deterministic half of the pipeline.
 
-    Returns (probs, entropy, applied_temperature). ``temperature_scale``
-    multiplies the dynamic temperature (used by scale-wise decoding) and the
-    result is clamped at ``floor_temperature``.
+    Returns (probs, entropy, applied_temperature). ``adjust_temperature``
+    maps the dynamic temperature (a scalar, or one per row) to the one
+    applied; scale-wise decoding passes its per-scale decay and floor.
 
     Row-wise: an [N, V] stack of logits (one row per position, as returned
     by ``Oracle.logits_rows``) gives [N, V] probabilities and length-N
@@ -95,8 +94,8 @@ def pipeline_probs(cond_logits,
     p = dist.softmax(logits)
     eps = dist.support_entropy(p)  # p is valid by construction
     t = dynamic_temperature(eps, tp)
-    if temperature_scale != 1.0:
-        t = np.maximum(t * temperature_scale, floor_temperature)
+    if adjust_temperature is not None:
+        t = adjust_temperature(t)
     logits = dist.rescale_logits(logits, t)
     if top_k is not None:
         logits = dist.top_k_filter(logits, top_k)

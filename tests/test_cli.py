@@ -97,6 +97,15 @@ class TestGenerate:
         bad = write_config(tmp_path / "bad2.cfg", "mode = diffusion\n")
         assert main(["generate", bad]) == 3
 
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        # out_dir below a regular file cannot be created
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = base_config(tmp_path, extra=f"out_dir = {blocker / 'out'}\n")
+        assert main(["generate", cfg]) == 3
+        assert main(["sweep", cfg, "alpha", "1,2"]) == 3
+        assert capsys.readouterr().err.count("invalid parameters:") == 2
+
     def test_artifacts_exist(self, tmp_path):
         main(["generate", base_config(tmp_path)])
         for name in ("tokens.csv", "entropy.csv", "entropy.pgm", "report.csv"):

@@ -157,15 +157,15 @@ class TestPrefixDigest:
         # the fold is a XOR reduction, so pair ordering cannot matter while
         # (token, index) bindings do
         o = make(c=1.0)
-        a = o.prefix_digest([1, 2, 3], [0, 1, 2])
-        b = o.prefix_digest([3, 1, 2], [2, 0, 1])
+        a = o.digest_of([1, 2, 3], [0, 1, 2])
+        b = o.digest_of([3, 1, 2], [2, 0, 1])
         assert a == b
-        assert a != o.prefix_digest([1, 2, 3], [2, 1, 0])
+        assert a != o.digest_of([1, 2, 3], [2, 1, 0])
 
     def test_length_mismatch(self):
         o = make()
         with pytest.raises(ValueError):
-            o.prefix_digest([1, 2], [0])
+            o.digest_of([1, 2], [0])
 
 
 class TestRunningDigest:

@@ -6,9 +6,10 @@ import pytest
 from entropix import dist
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
-from entropix.scales import (SCALE_STRIDE, ScaleTempParams, scale_factor,
-                             scale_generate, scale_temperature)
-from entropix.temperature import pipeline_probs, preset
+from entropix.scales import (SCALE_STRIDE, ScaleTempParams, scale_generate,
+                             scale_temperature)
+from entropix.temperature import (TempParams, dynamic_temperature,
+                                  pipeline_probs, preset)
 
 
 class TestScaleTemperature:
@@ -26,7 +27,10 @@ class TestScaleTemperature:
         assert scale_temperature(1.0, 15, sp) == 0.05
         for s in range(1, 16):
             assert scale_temperature(1.0, s, sp) > 0.0
-        assert all(scale_factor(s, sp) <= 0.0 for s in range(12, 16))
+        # the unclamped value is nonpositive from scale 12 on
+        tiny = ScaleTempParams(0.3, 15, 1e-300)
+        assert all(scale_temperature(1.0, s, tiny) == 1e-300
+                   for s in range(12, 16))
 
     def test_monotone_around_midpoint(self):
         sp = ScaleTempParams(0.25, 9)
@@ -44,6 +48,8 @@ class TestScaleTemperature:
             scale_temperature(1.0, 5, sp)
         with pytest.raises(ValueError):
             scale_temperature(0.0, 1, sp)
+        with pytest.raises(ValueError):
+            scale_temperature(np.array([1.0, 0.0]), 1, sp)
         with pytest.raises(ValueError):
             ScaleTempParams(1.0, 4)
         with pytest.raises(ValueError):
@@ -84,6 +90,27 @@ class TestScaleGenerate:
         # with beta = 0 every applied temperature stays inside Eq. 2's range
         tp = preset("llamagen")
         assert all(tp.theta < t <= tp.t0 + tp.theta for t in temps0)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.0])
+    def test_floor_applied_at_every_scale(self, beta):
+        # theta below the floor: the dynamic temperature drops under it at
+        # high entropy, also at the middle scale and when beta = 0, where
+        # the decay factor is exactly 1
+        tp = TempParams(0.05, 0.5, 0.01)
+        sp = ScaleTempParams(beta, 4, 0.05)
+        ladder = [(1, 1), (2, 2), (4, 4), (4, 4)]
+        _, emaps, _, temps = scale_generate(make_oracle(), ladder, tp, sp,
+                                            RngStream(1))
+        start = 0
+        for s, emap in enumerate(emaps, start=1):
+            applied = temps[start:start + emap.size]
+            start += emap.size
+            assert min(applied) >= sp.floor_temperature
+            expected = scale_temperature(
+                dynamic_temperature(emap.reshape(-1), tp), s, sp)
+            assert np.array_equal(applied, expected)
+        assert min(dynamic_temperature(np.concatenate(
+            [e.reshape(-1) for e in emaps]), tp)) < sp.floor_temperature
 
     def test_later_scales_condition_on_earlier(self):
         o = make_oracle(c=1.0)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ from hypothesis import strategies as st
 from entropix import dist
 from entropix.oracle import Oracle, OracleConfig
 from entropix.rng import RngStream
+from entropix.scales import ScaleTempParams, scale_temperature
 from entropix.temperature import (PRESETS, TempParams, dynamic_temperature,
                                   pipeline_probs, preset, sample_entropy_aware)
+
+
+def scaled(factor):
+    """Temperature adjuster that multiplies by ``factor`` (up to rounding)
+    and clamps at the default 0.05 floor."""
+    return partial(scale_temperature, s=1, sp=ScaleTempParams(1.0 - factor, 1))
 
 
 class TestPresets:
@@ -149,8 +157,7 @@ class TestSamplePipeline:
     def test_temperature_scale_clamped(self):
         logits = np.zeros(8)
         _, _, t = pipeline_probs(logits, tp=preset("llamagen"),
-                                 temperature_scale=1e-6,
-                                 floor_temperature=0.05)
+                                 adjust_temperature=scaled(1e-6))
         assert t == 0.05
 
 
@@ -159,7 +166,8 @@ class TestPipelineRows:
     @pytest.mark.parametrize("options", [
         {}, {"top_k": 3}, {"top_p": 0.8}, {"top_k": 5, "top_p": 0.6},
         {"cfg_scale": 1.5}, {"cfg_scale": 1.5, "top_k": 4},
-        {"temperature_scale": 0.3}, {"temperature_scale": 1e-3},
+        {"adjust_temperature": scaled(0.3)},
+        {"adjust_temperature": scaled(1e-3)},
     ])
     def test_rows_equal_single_rows(self, c, options):
         prof = np.linspace(0.0, 1.0, 64).reshape(8, 8)
