@@ -19,18 +19,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from entropix import dist, pgm
+from entropix import pgm
 from entropix.config import (ConfigSyntaxError, ConfigValueError, RunConfig,
                              parse_config, validate_config)
+from entropix.decode import next_token_generate
 from entropix.mask import cosine_schedule, mask_generate
-from entropix.oracle import (Oracle, OracleConfig, RunningDigest,
-                             profile_rect)
+from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_generate
 from entropix.speculative import (BASELINE, ENTROPY_AWARE, SpecAcceptParams,
                                   SpecStats, jacobi_decode)
-from entropix.temperature import (TempParams, pipeline_probs, preset,
-                                  sample_entropy_aware)
+from entropix.temperature import TempParams, preset
 
 HIST_BINS = 8
 
@@ -87,7 +86,8 @@ def run(cfg: RunConfig) -> RunResult:
 
     if cfg.mode == "next-token":
         length = cfg.length if cfg.length is not None else n
-        tokens, eps_list, temps = _next_token(oracle, length, n, tp, rng, cfg)
+        tokens, eps_list, temps = next_token_generate(
+            oracle, length, n, tp, rng, cfg.top_k, cfg.top_p, cfg.cfg_scale)
         grid, emap = _to_grid(tokens, eps_list, shape)
         return RunResult(grid, emap, temps, length, length, None,
                          time.perf_counter() - start)
@@ -124,50 +124,6 @@ def run(cfg: RunConfig) -> RunResult:
                          time.perf_counter() - start)
 
     raise ConfigValueError(f"unknown mode {cfg.mode!r}")
-
-
-def _next_token(oracle: Oracle, length: int, block: int, tp: TempParams,
-                rng: RngStream, cfg: RunConfig):
-    """Sequential decoding; returns (tokens, entropies, temperatures).
-
-    With context sensitivity 0 the oracle ignores the prefix, so positions
-    are scored ``block`` at a time (one grid's worth, the batch a mask step
-    scores) in one query each, with one uniform per position in order, as
-    the one-at-a-time draws take them. Otherwise each token conditions on
-    the prefix before it, whose digest grows by one pair per token instead
-    of being refolded.
-    """
-    tokens: List[int] = []
-    eps_list: List[float] = []
-    temps: List[float] = []
-    guided = cfg.cfg_scale != 1.0
-    if cfg.context_sensitivity == 0.0:
-        for start in range(0, length, block):
-            positions = range(start, min(start + block, length))
-            digests = [0] * len(positions)
-            logits = oracle.logits_rows(positions, digests)
-            uncond = oracle.logits_rows(positions, digests, conditional=False) \
-                if guided else None
-            probs, eps, t = pipeline_probs(logits, uncond, cfg.cfg_scale, tp,
-                                           cfg.top_k, cfg.top_p)
-            tokens.extend(dist.sample_rows(
-                probs, rng.uniforms(len(positions))).tolist())
-            eps_list.extend(eps.tolist())
-            temps.extend(t.tolist())
-        return tokens, eps_list, temps
-    running = RunningDigest()
-    for pos in range(length):
-        digest = running.digest()
-        logits = oracle.logits_from_digest(pos, digest)
-        uncond = oracle.logits_from_digest(pos, digest, conditional=False) \
-            if guided else None
-        trace = sample_entropy_aware(logits, uncond, cfg.cfg_scale, tp,
-                                     cfg.top_k, cfg.top_p, rng, step_index=pos)
-        running.append((trace.token,))
-        tokens.append(trace.token)
-        eps_list.append(trace.entropy)
-        temps.append(trace.temperature)
-    return tokens, eps_list, temps
 
 
 def _to_grid(tokens, eps_list, shape):

@@ -6,6 +6,7 @@ ConfigSyntaxError (CLI exit 2); semantically invalid parameter combinations
 raise ConfigValueError (CLI exit 3).
 """
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
@@ -135,6 +136,11 @@ def parse_config(path: str) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.mode not in MODES:
         raise ConfigValueError(f"unknown mode {cfg.mode!r}; valid modes: {', '.join(MODES)}")
+    # the range checks below are comparisons, which NaN passes
+    for name in sorted(_FLOAT_KEYS):
+        v = getattr(cfg, name)
+        if v is not None and not math.isfinite(v):
+            raise ConfigValueError(f"{name} must be finite")
     if cfg.vocab < 2 or cfg.height < 1 or cfg.width < 1:
         raise ConfigValueError("vocab must be >= 2 and grid dimensions positive")
     if not 0.0 <= cfg.context_sensitivity <= 1.0:

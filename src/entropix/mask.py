@@ -17,9 +17,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from entropix import dist
+from entropix.decode import score
 from entropix.oracle import Oracle, mask_token
 from entropix.rng import RngStream
-from entropix.temperature import TempParams, pipeline_probs
+from entropix.temperature import TempParams
 
 
 @dataclass(frozen=True)
@@ -65,24 +66,14 @@ def cosine_schedule(total_tokens: int, total_steps: int) -> StepSchedule:
 class MaskState:
     accepted: np.ndarray  # bool grid
     tokens: np.ndarray  # int grid, valid where accepted
-    step: int
-    total_steps: int
 
     @classmethod
-    def initial(cls, shape: Tuple[int, int], total_steps: int) -> "MaskState":
+    def initial(cls, shape: Tuple[int, int]) -> "MaskState":
         return cls(accepted=np.zeros(shape, dtype=bool),
-                   tokens=np.zeros(shape, dtype=np.int64),
-                   step=0, total_steps=total_steps)
+                   tokens=np.zeros(shape, dtype=np.int64))
 
     def remaining(self) -> int:
         return int((~self.accepted).sum())
-
-
-def confidence(p_sampled: float, temperature: float, rng: RngStream) -> float:
-    """One position's confidence, its Gumbel uniform drawn from ``rng``: the
-    one-position case of ``confidence_rows``."""
-    return float(confidence_rows(np.float64(p_sampled),
-                                 np.float64(temperature), rng.uniform()))
 
 
 def confidence_rows(p_sampled: np.ndarray, temperature: np.ndarray,
@@ -114,8 +105,7 @@ def update_mask(conf: np.ndarray, state: MaskState, k: int,
     flat_acc[chosen] = True
     if sampled_tokens is not None:
         tokens.reshape(-1)[chosen] = np.asarray(sampled_tokens).reshape(-1)[chosen]
-    return MaskState(accepted=accepted, tokens=tokens,
-                     step=state.step + 1, total_steps=state.total_steps)
+    return MaskState(accepted=accepted, tokens=tokens)
 
 
 def mask_generate(oracle: Oracle, shape: Tuple[int, int],
@@ -124,10 +114,10 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
                   cfg_scale: float = 1.0):
     """Full mask-prediction loop.
 
-    Each step makes one batched oracle query (``Oracle.logits_rows``) for all
-    open positions, which share the digest of the frozen grid, runs the
-    pipeline row-wise and draws 2 uniforms per open position in row-major
-    order: the token's inverse-CDF uniform, then its Gumbel uniform.
+    Each step scores all open positions in one batch (``decode.score``);
+    they share the digest of the frozen grid. It then draws 2 uniforms per
+    open position in row-major order: the token's inverse-CDF uniform, then
+    its Gumbel uniform.
 
     Returns (token grid, entropy map recorded at each position's acceptance
     step, list of MaskState snapshots, applied-temperature list).
@@ -135,7 +125,7 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     h, w = shape
     if schedule.total_tokens != h * w:
         raise ValueError("schedule does not match the grid size")
-    state = MaskState.initial(shape, schedule.total_steps)
+    state = MaskState.initial(shape)
     entropy_map = np.zeros(shape)
     temps: List[float] = []
     history = [state]
@@ -146,12 +136,8 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
         n = open_pos.shape[0]
         # the conditioning digest is shared by every open position this step
         digests = [oracle.digest_of(grid_cond.reshape(-1))] * n
-        logits = oracle.logits_rows(open_pos, digests)
-        uncond = None
-        if cfg_scale != 1.0:
-            uncond = oracle.logits_rows(open_pos, digests, conditional=False)
-        probs, eps, t = pipeline_probs(logits, uncond, cfg_scale, tp,
-                                       top_k, top_p)
+        probs, eps, t = score(oracle, open_pos, digests, tp, top_k, top_p,
+                              cfg_scale)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
         drafted = dist.sample_rows(probs, u[:, 0])
         conf = np.full(h * w, -np.inf)

@@ -8,7 +8,7 @@ prefix, so logits react to previously decoded tokens; at 0 the oracle is
 stationary and prefix-independent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,17 +176,6 @@ class Oracle:
         return _kernels_py.raw_logits_rows(
             np.array(pk, dtype=np.uint64), np.array(ctx, dtype=np.uint64),
             self.cfg.context_sensitivity, self.cfg.vocab, tstar, gap)
-
-    def grid_logits_at(self, pos: Tuple[int, int], grid: np.ndarray,
-                       conditional: bool = True) -> np.ndarray:
-        """Grid conditioning: decoded entries condition, mask-id entries do not."""
-        i, j = pos
-        h, w = self.cfg.shape
-        if not (0 <= i < h and 0 <= j < w):
-            raise ValueError("position out of range")
-        flat = np.asarray(grid).reshape(-1)
-        return self.logits_at(i * w + j, flat,
-                              np.arange(flat.shape[0]), conditional)
 
 
 class RunningDigest:

@@ -1,20 +1,19 @@
 """Seeded random streams.
 
-A stream is identified by (seed, stream_id); the same pair always replays the
-same draw sequence. Distinct stream ids are derived through SeedSequence
-spawn keys, so they share no state.
+A stream is identified by its seed; the same seed always replays the same
+draw sequence.
 """
 
 import numpy as np
 
 
 class RngStream:
-    def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be nonnegative")
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
         self.seed = seed
-        self.stream_id = stream_id
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        # a fixed spawn key keeps every seed's draws, and so every golden
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniform(self) -> float:
@@ -28,9 +27,5 @@ class RngStream:
         """Uniform integer in [0, n)."""
         return int(self._gen.integers(0, n))
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Independent stream under the same seed."""
-        return RngStream(self.seed, stream_id)
-
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        return f"RngStream(seed={self.seed})"

@@ -11,10 +11,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from entropix import dist
+from entropix.decode import score
 from entropix.oracle import Oracle
 from entropix.rng import RngStream
-from entropix.temperature import TempParams, pipeline_probs
-from entropix import dist
+from entropix.temperature import TempParams
 
 # Position-key stride separating scales in the oracle's index space.
 SCALE_STRIDE = 1 << 24
@@ -55,8 +56,8 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
     """Decode every scale in ladder order, each conditioned on all coarser ones.
 
     All positions of a scale share one conditioning prefix, so each scale is
-    one batched oracle query (``Oracle.logits_rows``), with the pipeline run
-    row-wise and one uniform drawn per position in row-major order.
+    scored in one batch (``decode.score``), with one uniform drawn per
+    position in row-major order.
 
     Returns (list of token grids, list of entropy maps, per-scale mean entropy,
     applied-temperature list).
@@ -83,15 +84,9 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
         digest = 0
         if oracle.cfg.context_sensitivity != 0.0:
             digest = oracle.digest_of(prefix_tokens, prefix_indices)
-        digests = [digest] * (h * w)
-        logits = oracle.logits_rows(positions, digests, kappas=kappas)
-        uncond = None
-        if cfg_scale != 1.0:
-            uncond = oracle.logits_rows(positions, digests, conditional=False,
-                                        kappas=kappas)
-        probs, eps, t = pipeline_probs(
-            logits, uncond, cfg_scale, tp, top_k, top_p,
-            adjust_temperature=partial(scale_temperature, s=s, sp=sp))
+        probs, eps, t = score(
+            oracle, positions, [digest] * (h * w), tp, top_k, top_p,
+            cfg_scale, kappas, partial(scale_temperature, s=s, sp=sp))
         # one uniform per position in row-major order
         tokens = dist.sample_rows(probs, rng.uniforms(h * w))
         temps.extend(t)

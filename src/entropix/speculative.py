@@ -17,9 +17,10 @@ from typing import List, Optional
 import numpy as np
 
 from entropix import dist
+from entropix.decode import score
 from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
-from entropix.temperature import TempParams, pipeline_probs
+from entropix.temperature import TempParams
 
 BASELINE = "baseline"
 ENTROPY_AWARE = "entropy-aware"
@@ -97,11 +98,10 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
                   cfg_scale: float = 1.0):
     """Sliding-window Jacobi decode.
 
-    Each iteration makes one parallel oracle call over the window
-    (``Oracle.logits_rows``, one row per slot, with the pipeline run
-    row-wise), verifies drafts left to right against the distributions they
-    were sampled from, stops at the first rejection (residual resample) or
-    at the first unverified slot (emitted as a fresh exact sample), then
+    Each iteration scores the window in one batch (``decode.score``, one
+    row per slot), verifies drafts left to right against the distributions
+    they were sampled from, stops at the first rejection (residual resample)
+    or at the first unverified slot (emitted as a fresh exact sample), then
     refreshes the surviving drafts from this iteration's distributions.
 
     Slot i conditions on the emitted prefix plus drafts[:i]. Its digest comes
@@ -132,12 +132,8 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
             digests = running.continuation_digests(drafts[:w_eff - 1])
         else:
             digests = [0] * w_eff
-        logits = oracle.logits_rows(positions, digests)
-        uncond = None
-        if cfg_scale != 1.0:
-            uncond = oracle.logits_rows(positions, digests, conditional=False)
-        q, eps_rows, t_rows = pipeline_probs(logits, uncond, cfg_scale, tp,
-                                             top_k, top_p)
+        q, eps_rows, t_rows = score(oracle, positions, digests, tp, top_k,
+                                    top_p, cfg_scale)
         eps_list = eps_rows.tolist()
         temps.extend(t_rows)
 

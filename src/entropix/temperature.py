@@ -66,8 +66,6 @@ class SampleTrace:
     token: int
     entropy: float
     temperature: float
-    step_index: int
-    token_prob: float  # post-pipeline probability of the sampled token
 
 
 def pipeline_probs(cond_logits,
@@ -113,13 +111,11 @@ def sample_entropy_aware(cond_logits,
                          tp: TempParams = PRESETS["llamagen"],
                          top_k: Optional[int] = None,
                          top_p: Optional[float] = None,
-                         rng: Optional[RngStream] = None,
-                         step_index: int = 0) -> SampleTrace:
+                         rng: Optional[RngStream] = None) -> SampleTrace:
     """Sample one token with entropy-adapted temperature; record what was used."""
     if rng is None:
         raise ValueError("an RngStream is required")
     probs, eps, t = pipeline_probs(cond_logits, uncond_logits, cfg_scale,
                                    tp, top_k, top_p)
     token = dist.sample_categorical(probs, rng)
-    return SampleTrace(token=token, entropy=eps, temperature=float(t),
-                       step_index=step_index, token_prob=float(probs[token]))
+    return SampleTrace(token=token, entropy=eps, temperature=float(t))

@@ -6,8 +6,9 @@ import pytest
 
 from entropix import pgm
 from entropix.cli import main, run
-from entropix.config import (ConfigSyntaxError, ConfigValueError,
-                             RunConfig, parse_config, validate_config)
+from entropix.config import (_FLOAT_KEYS, ConfigSyntaxError,
+                             ConfigValueError, RunConfig, parse_config,
+                             validate_config)
 
 
 def write_config(path, text):
@@ -105,6 +106,15 @@ class TestGenerate:
         assert main(["generate", cfg]) == 3
         assert main(["sweep", cfg, "alpha", "1,2"]) == 3
         assert capsys.readouterr().err.count("invalid parameters:") == 2
+
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    def test_non_finite_float_rejected(self, tmp_path, capsys, key):
+        # a NaN passes every comparison, so range checks alone let it in
+        for value in ("nan", "inf", "-inf"):
+            cfg = base_config(tmp_path, "spec-entropy", f"{key} = {value}\n")
+            assert main(["generate", cfg]) == 3
+            assert f"{key} must be finite" in capsys.readouterr().err
+            assert not os.path.exists(artifact(tmp_path, "tokens.csv"))
 
     def test_artifacts_exist(self, tmp_path):
         main(["generate", base_config(tmp_path)])

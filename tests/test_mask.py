@@ -4,55 +4,50 @@ import math
 import numpy as np
 import pytest
 
-from entropix.mask import (MaskState, StepSchedule, confidence,
-                           confidence_rows, cosine_schedule, mask_generate,
-                           update_mask)
+from entropix.mask import (MaskState, StepSchedule, confidence_rows,
+                           cosine_schedule, mask_generate, update_mask)
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
 from entropix.temperature import preset
 
 
-class FixedStream:
-    """Stands in for RngStream with a scripted uniform sequence."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
+def one(p_sampled, temperature, u):
+    """Confidence of one position, as a float."""
+    return float(confidence_rows(np.array([p_sampled]), np.array([temperature]),
+                                 np.array([u]))[0])
 
 
 class TestConfidence:
     def test_zero_noise_point(self):
         # u = 1/e drives the Gumbel transform to exactly 0
-        assert confidence(1.0, 2.0, FixedStream([1 / math.e])) \
-            == pytest.approx(0.0, abs=1e-12)
+        assert one(1.0, 2.0, 1 / math.e) == pytest.approx(0.0, abs=1e-12)
 
     def test_low_temperature_preserves_ranking(self):
-        rng = FixedStream([0.3, 0.3])
         t = 1e-9
-        hi = confidence(0.9, t, rng)
-        lo = confidence(0.1, t, rng)
+        hi, lo = confidence_rows(np.array([0.9, 0.1]), np.array([t, t]),
+                                 np.array([0.3, 0.3]))
         assert hi > lo
 
     def test_golden_value(self):
-        # frozen: seed 7, stream 0, p = 0.5, T = 1
-        got = confidence(0.5, 1.0, RngStream(7, 0))
+        # frozen: seed 7, p = 0.5, T = 1
+        got = one(0.5, 1.0, RngStream(7).uniform())
         assert got == pytest.approx(0.79485590682416751, abs=1e-15)
         gumbel = got - math.log(0.5)
         assert gumbel == pytest.approx(1.4880030873841128, abs=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            confidence(0.0, 1.0, RngStream(0))
+            one(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            confidence(0.5, 0.0, RngStream(0))
+            one(0.5, 0.0, 0.5)
 
     def test_rows_equal_sequential(self):
+        # one call over all rows equals one call per row, with the uniforms
+        # taken in row order from the same stream
         p = np.array([0.5, 1.0, 1e-9, 0.25])
         t = np.array([1.0, 0.6, 3.1, 2.2])
         seq = RngStream(17)
-        expected = [confidence(a, b, seq) for a, b in zip(p, t)]
+        expected = [one(a, b, seq.uniform()) for a, b in zip(p, t)]
         got = confidence_rows(p, t, RngStream(17).uniforms(4))
         assert np.array_equal(got, expected)
 
@@ -67,16 +62,17 @@ class TestConfidence:
 
     def test_noise_variance_scales_with_temperature(self):
         # Gumbel variance pi^2/6 scaled by T^2, within 5%
+        n = 100000
         for t in (0.7, 2.0):
-            rng = RngStream(21)
-            draws = np.array([confidence(0.5, t, rng) for _ in range(100000)])
+            draws = confidence_rows(np.full(n, 0.5), np.full(n, t),
+                                    RngStream(21).uniforms(n))
             expected = t * t * math.pi ** 2 / 6.0
             assert abs(draws.var() - expected) / expected < 0.05
 
 
 class TestUpdateMask:
     def test_accept_all_remaining(self):
-        state = MaskState.initial((2, 2), 1)
+        state = MaskState.initial((2, 2))
         conf = np.array([[1.0, 2.0], [3.0, 4.0]])
         toks = np.arange(4).reshape(2, 2)
         out = update_mask(conf, state, 4, toks)
@@ -84,21 +80,21 @@ class TestUpdateMask:
         np.testing.assert_array_equal(out.tokens, toks)
 
     def test_top_two(self):
-        state = MaskState.initial((2, 2), 2)
+        state = MaskState.initial((2, 2))
         conf = np.array([[4.0, 3.0], [2.0, 1.0]])
         out = update_mask(conf, state, 2)
         np.testing.assert_array_equal(out.accepted,
                                       [[True, True], [False, False]])
 
     def test_tie_break_row_major(self):
-        state = MaskState.initial((2, 2), 4)
+        state = MaskState.initial((2, 2))
         conf = np.zeros((2, 2))
         out = update_mask(conf, state, 1)
         np.testing.assert_array_equal(out.accepted,
                                       [[True, False], [False, False]])
 
     def test_accepted_positions_untouched(self):
-        state = MaskState.initial((2, 2), 2)
+        state = MaskState.initial((2, 2))
         toks = np.full((2, 2), 9)
         state = update_mask(np.array([[5.0, 0.0], [0.0, 0.0]]), state, 1, toks)
         assert state.tokens[0, 0] == 9
@@ -109,7 +105,7 @@ class TestUpdateMask:
         assert out.accepted[0, 0]
 
     def test_k_out_of_range(self):
-        state = MaskState.initial((2, 2), 1)
+        state = MaskState.initial((2, 2))
         conf = np.zeros((2, 2))
         with pytest.raises(ValueError):
             update_mask(conf, state, 5)

@@ -142,14 +142,10 @@ class TestGridConditioning:
         grid = np.full((4, 4), mid)
         grid[0, 0] = 3
         grid[2, 1] = 7
-        a = o.grid_logits_at((1, 1), grid)
+        # a mask step conditions on the whole grid, mask ids included
+        a = o.logits_rows([1 * 4 + 1], [o.digest_of(grid.reshape(-1))])[0]
         b = o.logits_at(1 * 4 + 1, [3, 7], [0, 9])
         np.testing.assert_array_equal(a, b)
-
-    def test_position_bounds(self):
-        o = make(shape=(4, 4))
-        with pytest.raises(ValueError):
-            o.grid_logits_at((4, 0), np.zeros((4, 4), dtype=int))
 
 
 class TestPrefixDigest:
