@@ -5,7 +5,7 @@ mapping is a single multiply by 2^-64, so every output is exact and
 platform-independent (pinned by golden values in ``tests/test_kernels.py``).
 """
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -92,30 +92,40 @@ def prefix_fold(tokens: np.ndarray, indices: np.ndarray) -> int:
     return fold.digest()
 
 
+def _noise(pos_keys, ctx_keys, c: float, vocab: int) -> np.ndarray:
+    """Hashed base noise in [0, 1) along the last axis, blended with the
+    context keys' noise at c > 0. Keys are uint64 scalars for one row or
+    [N, 1] uint64 arrays for N rows."""
+    k = np.arange(vocab, dtype=np.uint64)
+    u = _mix64_vec(pos_keys + k * _TOK_SALT_U).astype(np.float64) * _INV_2_64
+    if c != 0.0:
+        u2 = _mix64_vec(ctx_keys + k * _CTX_SALT_U).astype(np.float64) * _INV_2_64
+        u = (1.0 - c) * u + c * u2
+    return u
+
+
 def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
-                    c: float, vocab: int, tstars: Sequence[int],
-                    gaps: Sequence[float]) -> np.ndarray:
+                    c: float, vocab: int, tstars: np.ndarray,
+                    gaps: np.ndarray) -> np.ndarray:
     """[N, V] base logits; row n is raw_logits for the n-th key, target and
     gap. ``ctx_keys`` is unused at c = 0.
 
     Every operation is elementwise, so a row equals the single-row result
     bit for bit.
     """
-    k = np.arange(vocab, dtype=np.uint64)
-    u = _mix64_vec(pos_keys[:, None] + k * _TOK_SALT_U).astype(np.float64) * _INV_2_64
-    if c != 0.0:
-        u2 = _mix64_vec(ctx_keys[:, None] + k * _CTX_SALT_U).astype(np.float64) * _INV_2_64
-        u = (1.0 - c) * u + c * u2
-    # one scalar update per row: a vectorized scatter costs a one-row query
-    # several times more than this loop costs a whole batch
-    for n, (tstar, gap) in enumerate(zip(tstars, gaps)):
-        u[n, tstar] += gap
+    u = _noise(pos_keys[:, None], None if ctx_keys is None
+               else ctx_keys[:, None], c, vocab)
+    u[np.arange(u.shape[0]), tstars] += gaps
     return u
 
 
 def raw_logits(pos_key: int, ctx_key: int, c: float, vocab: int,
                tstar: int, gap: float) -> np.ndarray:
-    """Deterministic base logits: hashed noise plus a gap on the target token."""
-    return raw_logits_rows(np.array([pos_key], dtype=np.uint64),
-                           np.array([ctx_key], dtype=np.uint64), c, vocab,
-                           [tstar], [gap])[0]
+    """Deterministic base logits: hashed noise plus a gap on the target token.
+
+    The one-row case of ``raw_logits_rows``, on scalar keys and with a
+    scalar gap add, so a one-row query builds no index arrays.
+    """
+    u = _noise(_U(pos_key), _U(ctx_key), c, vocab)
+    u[tstar] += gap
+    return u

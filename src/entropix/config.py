@@ -13,6 +13,21 @@ from typing import Optional, Tuple
 
 MODES = ("next-token", "mask", "scale", "spec-baseline", "spec-entropy")
 
+# Size limits, checked before anything is allocated. They admit an
+# LLM-sized vocabulary, grids and ladder entries of up to 2^20 cells, and
+# 2^24 logits per oracle query (128 MiB of float64, which the sampling
+# pipeline copies a few times). A query scores rows x vocab logits, so
+# where it covers the whole grid (mask mode, scale mode's largest scale,
+# next-token at context 0 without a shorter length) the grid is bounded by
+# 2^24 / vocab cells: 512x512 at the default vocab of 64, 1024x1024 at a
+# vocab of 16. MAX_CELLS also keeps every scale below
+# scales.SCALE_STRIDE = 2^24, so the position keys of two scales never meet.
+MAX_VOCAB = 1 << 18
+MAX_CELLS = 1 << 20
+MAX_LENGTH = 1 << 20
+MAX_WINDOW = 1 << 12
+MAX_QUERY_LOGITS = 1 << 24
+
 
 class ConfigSyntaxError(Exception):
     def __init__(self, line: int, message: str):
@@ -172,3 +187,38 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigValueError("rect out of bounds")
     if cfg.cfg_scale < 1.0:
         raise ConfigValueError("cfg_scale must be >= 1")
+    _check_sizes(cfg)
+
+
+def _check_sizes(cfg: RunConfig) -> None:
+    if cfg.vocab > MAX_VOCAB:
+        raise ConfigValueError(f"vocab must be <= {MAX_VOCAB}")
+    cells = cfg.height * cfg.width
+    if cells > MAX_CELLS:
+        raise ConfigValueError(f"height * width must be <= {MAX_CELLS}")
+    if cfg.length is not None and cfg.length > MAX_LENGTH:
+        raise ConfigValueError(f"length must be <= {MAX_LENGTH}")
+    if cfg.window > MAX_WINDOW:
+        raise ConfigValueError(f"window must be <= {MAX_WINDOW}")
+    for h, w in cfg.ladder or ():
+        if h < 1 or w < 1:
+            raise ConfigValueError("ladder entries must be positive")
+        if h * w > MAX_CELLS:
+            raise ConfigValueError(
+                f"ladder entry {h}x{w} has more than {MAX_CELLS} cells")
+    # rows of the largest batched oracle query the run makes
+    length = cfg.length if cfg.length is not None else cells
+    if cfg.mode == "next-token":
+        # blocks of up to a grid at context 0, else one row per token
+        rows = min(cells, length) if cfg.context_sensitivity == 0.0 else 1
+    elif cfg.mode == "scale" and cfg.ladder is not None:
+        rows = max((h * w for h, w in cfg.ladder), default=0)
+    elif cfg.mode in ("spec-baseline", "spec-entropy"):
+        rows = min(cfg.window, length)
+    else:
+        # mask mode, and scale mode's default ladder, end on the full grid
+        rows = cells
+    if rows * cfg.vocab > MAX_QUERY_LOGITS:
+        raise ConfigValueError(
+            f"one oracle query would hold {rows} x {cfg.vocab} logits; "
+            f"the limit is {MAX_QUERY_LOGITS}")

@@ -159,23 +159,35 @@ class Oracle:
         A decode step that scores many positions (every open mask position,
         every Jacobi window slot, every position of a scale) makes this
         single call, as one forward pass would. ``kappas`` overrides the
-        profile lookup per row. Rows are computed by ``raw_logits_rows``,
-        which is bit-identical to ``raw_logits``, so row n equals
+        profile lookup per row. Every row's position key, context key,
+        target and gap are derived with array operations: the wrapping
+        64-bit arithmetic that ``_row_args`` does on Python ints for the
+        one-row query. ``raw_logits_rows`` is bit-identical to
+        ``raw_logits``, so row n equals
         ``logits_from_digest(positions[n], digests[n])``.
         """
-        n = len(positions)
+        cfg = self.cfg
+        pos = np.asarray(positions, dtype=np.int64)
+        n = pos.shape[0]
         if n != len(digests):
             raise ValueError("positions and digests must have equal length")
-        if kappas is None:
-            kappas = [None] * n
-        elif len(kappas) != n:
+        if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
-        rows = [self._row_args(int(p), d, conditional, k)
-                for p, d, k in zip(positions, digests, kappas)]
-        pk, ctx, tstar, gap = zip(*rows) if rows else ((),) * 4
+        if n and pos.min() < 0:
+            raise ValueError("position out of range")
+        U, mix = np.uint64, _kernels_py._mix64_vec
+        pk = mix(U(cfg.seed & _kernels_py.MASK64)
+                 ^ mix(pos.astype(U) * U(POS_SALT)))
+        if not conditional:
+            pk = mix(pk ^ U(UNCOND_SALT))
+        ctx = mix(pk ^ np.asarray(digests, dtype=U)) \
+            if cfg.context_sensitivity != 0.0 else None
+        if kappas is None:
+            kappas = self._kappa_flat[pos % self._n]
+        gaps = GAP_MAX * np.asarray(kappas, dtype=np.float64)
         return _kernels_py.raw_logits_rows(
-            np.array(pk, dtype=np.uint64), np.array(ctx, dtype=np.uint64),
-            self.cfg.context_sensitivity, self.cfg.vocab, tstar, gap)
+            pk, ctx, cfg.context_sensitivity, cfg.vocab, pk % U(cfg.vocab),
+            gaps)
 
 
 class RunningDigest:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 from entropix import pgm
 from entropix.cli import main, run
-from entropix.config import (_FLOAT_KEYS, ConfigSyntaxError,
-                             ConfigValueError, RunConfig, parse_config,
-                             validate_config)
+from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
+                             MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW,
+                             ConfigSyntaxError, ConfigValueError, RunConfig,
+                             parse_config, validate_config)
 
 
 def write_config(path, text):
@@ -83,6 +85,84 @@ class TestConfigParsing:
                             "mode = scale\nladder = 1x1,2x2,4x4\n"
                             "height = 4\nwidth = 4\n")
         assert parse_config(path).ladder == ((1, 1), (2, 2), (4, 4))
+
+
+# Each config breaks one size limit by one unit; only validate_config sees
+# them, so nothing of their size is ever allocated.
+OVERSIZED = [
+    ("vocab", dict(vocab=MAX_VOCAB + 1, height=1, width=1,
+                   context_sensitivity=0.5)),
+    ("vocab", dict(vocab=1000000000, height=4, width=4)),
+    (r"height \* width", dict(height=MAX_CELLS + 1, width=1, vocab=2)),
+    ("length", dict(mode="spec-entropy", length=MAX_LENGTH + 1)),
+    ("window", dict(mode="spec-entropy", window=MAX_WINDOW + 1, vocab=2)),
+    ("ladder entry", dict(mode="scale", vocab=2,
+                          ladder=((1, 1), (1, MAX_CELLS + 1)))),
+    ("ladder entries", dict(mode="scale", ladder=((1, 1), (0, 4)))),
+    # the largest query holds rows x vocab logits
+    ("query", dict(mode="next-token", vocab=MAX_VOCAB, height=1, width=65)),
+    ("query", dict(mode="mask", vocab=MAX_QUERY_LOGITS // MAX_CELLS + 1,
+                   height=1024, width=1024)),
+    ("query", dict(mode="scale", vocab=1 << 10, height=128, width=128,
+                   ladder=((1, 1), (128, 129)))),
+    ("query", dict(mode="spec-baseline", vocab=MAX_VOCAB, window=65)),
+    # a length longer than the grid still queries at most a grid per block
+    ("query", dict(mode="next-token", vocab=64, height=1024, width=1024,
+                   length=MAX_LENGTH)),
+]
+
+# Configs exactly at the limits, which the checks admit.
+AT_LIMIT = [
+    dict(vocab=MAX_VOCAB, height=1, width=1),
+    dict(mode="next-token", vocab=MAX_VOCAB, height=1, width=64),
+    # under context next-token queries one row at a time
+    dict(mode="next-token", vocab=MAX_VOCAB, height=1, width=65,
+         context_sensitivity=0.5, length=MAX_LENGTH),
+    dict(mode="mask", vocab=MAX_QUERY_LOGITS // MAX_CELLS, height=1024,
+         width=1024),
+    dict(mode="scale", vocab=1 << 10, height=128, width=128,
+         ladder=((1, 1), (128, 128))),
+    dict(mode="spec-baseline", vocab=MAX_VOCAB, window=64),
+    dict(mode="spec-entropy", vocab=2, window=MAX_WINDOW, length=MAX_LENGTH),
+    # a short length bounds the query below the grid and the window
+    dict(mode="next-token", vocab=64, height=1024, width=1024, length=10),
+    dict(mode="next-token", vocab=MAX_VOCAB, height=1, width=65, length=64),
+    dict(mode="spec-entropy", vocab=MAX_VOCAB, window=MAX_WINDOW, length=64),
+]
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("match,keys", OVERSIZED)
+    def test_oversized_rejected(self, match, keys):
+        with pytest.raises(ConfigValueError, match=match):
+            validate_config(RunConfig(**keys))
+
+    @pytest.mark.parametrize("keys", AT_LIMIT)
+    def test_limit_admitted(self, keys):
+        validate_config(RunConfig(**keys))
+
+    @pytest.mark.parametrize("line", ["vocab = 1000000000",
+                                      f"window = {MAX_WINDOW + 1}",
+                                      "ladder = 1x1,2048x1024"])
+    def test_exit_3_without_artifacts(self, tmp_path, capsys, line):
+        mode = "scale" if line.startswith("ladder") else "spec-entropy"
+        for m in ("next-token", mode):
+            cfg = base_config(tmp_path, m, line + "\n")
+            assert main(["generate", cfg]) == 3
+            assert "invalid parameters:" in capsys.readouterr().err
+            assert not os.path.exists(artifact(tmp_path, "tokens.csv"))
+
+    def test_benchmark_workloads_admitted(self, tmp_path):
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for w in workloads.WORKLOADS.values():
+            for keys in ({}, w.warmup):
+                cfg = write_config(tmp_path / "w.cfg",
+                                   w.config_text(0, "out", **keys))
+                parse_config(cfg)
 
 
 def artifact(tmp_path, name):

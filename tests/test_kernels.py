@@ -72,3 +72,33 @@ class TestRawLogits:
             h.update(k.raw_logits(pk, ctx, c, vocab, tstar, gap).tobytes())
         assert h.hexdigest() == \
             "d9879e8f29209abb10e9328cc8719c77dc618a5690b41ae2cff98e67d0997d71"
+
+    def test_rows_seeded(self):
+        # 50 rows with repeated targets and some zero gaps, at c = 0 and
+        # c > 0; recorded from the per-row scatter loop
+        rng = np.random.default_rng(3)
+        n, vocab = 50, 97
+        pk, ctx = rand_u64(rng, n), rand_u64(rng, n)
+        tstars = rng.integers(0, vocab, size=n)
+        gaps = rng.uniform(0, 30, size=n)
+        gaps[::7] = 0.0
+        h = hashlib.sha256()
+        for c in (0.0, 0.6):
+            h.update(k.raw_logits_rows(pk, ctx, c, vocab, tstars,
+                                       gaps).tobytes())
+        assert h.hexdigest() == \
+            "dab855acee457cf993678868278e7ec502a27bc8b016f290cedb442949e5f362"
+
+    def test_rows_equal_one_row(self):
+        # pins the batched scatter to the one-row kernel's scalar gap add
+        rng = np.random.default_rng(4)
+        n, vocab = 20, 33
+        pk, ctx = rand_u64(rng, n), rand_u64(rng, n)
+        tstars = rng.integers(0, vocab, size=n)
+        gaps = rng.uniform(0, 30, size=n)
+        for c in (0.0, 0.6, 1.0):
+            rows = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
+            for i in range(n):
+                one = k.raw_logits(int(pk[i]), int(ctx[i]), c, vocab,
+                                   int(tstars[i]), float(gaps[i]))
+                assert np.array_equal(rows[i], one)

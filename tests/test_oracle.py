@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entropix import dist
 from entropix.oracle import (GAP_MAX, Oracle, OracleConfig, RunningDigest,
                              mask_token, profile_rect)
+from entropix.scales import SCALE_STRIDE
 
 
 def make(vocab=64, shape=(8, 8), kappa=0.0, seed=3, c=0.0):
@@ -205,6 +206,43 @@ class TestLogitsRows:
                             for p, d in zip(positions, digests)])
         assert rows.shape == (len(positions), 16)
         assert np.array_equal(rows, stacked)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, (1 << 70) - 1),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           vocab=st.integers(2, 40),
+           c=st.sampled_from([0.0, 0.4, 1.0]),
+           conditional=st.booleans(),
+           data=st.data())
+    def test_rows_equal_one_row_queries(self, seed, shape, vocab, c,
+                                        conditional, data):
+        # the batched query derives its keys with array arithmetic and the
+        # one-row query with Python ints; seeds reach past 2^64
+        n = data.draw(st.integers(1, 8))
+        position = st.one_of(
+            st.integers(0, (1 << 40) - 1),
+            st.builds(lambda s, i: s * SCALE_STRIDE + i,
+                      st.integers(1, 12), st.integers(0, 1 << 20)))
+        P = data.draw(st.lists(position, min_size=n, max_size=n))
+        D = data.draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=n,
+                               max_size=n))
+        K = data.draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=n,
+                                           max_size=n))
+        h, w = shape
+        prof = (np.arange(h * w) * 7 % 11 / 10).reshape(shape)
+        o = Oracle(OracleConfig(vocab=vocab, shape=shape, profile=prof,
+                                seed=seed, context_sensitivity=c))
+        rows = o.logits_rows(P, D, conditional, K)
+        assert rows.shape == (n, vocab)
+        for i in range(n):
+            one = o.logits_from_digest(P[i], D[i], conditional,
+                                       None if K is None else K[i])
+            assert np.array_equal(rows[i], one)
+
+    def test_empty_batch(self):
+        o = make(vocab=16, c=0.5)
+        assert o.logits_rows([], []).shape == (0, 16)
+        assert o.logits_rows([], [], False, []).shape == (0, 16)
 
     def test_kappa_override(self):
         o = make(vocab=16, c=0.5)
