@@ -7,6 +7,13 @@ filters compose without special cases. All logarithms are natural.
 The logits primitives also take an [N, V] stack of rows and act on each row
 along the last axis; a row's result equals the 1-D result bit for bit, so a
 decoder may score a whole batch of positions in one call.
+
+The top-k and top-p filters select by threshold. Each row's cut value is
+read from its sorted values: the k-th highest logit, or the probability
+that brings the descending cumulative mass to p. The row keeps the entries
+at or above the cut. Where more entries tie at the cut than places are
+left, the lower indices win, exactly as in a stable ranking; only such rows
+do extra work.
 """
 
 import numpy as np
@@ -38,14 +45,19 @@ def softmax(logits) -> np.ndarray:
     finite = np.isfinite(m)
     if not (finite.all() if rows else finite):
         raise ValueError("empty support")
-    e = np.exp(a - m)  # EXCLUDED -> exp(-inf) = 0
-    return e / np.add.reduce(e, axis=-1, keepdims=rows)
+    # in place on one fresh array: a large stack then pays for a single
+    # allocation rather than three
+    e = np.subtract(a, m)
+    np.exp(e, out=e)  # EXCLUDED -> exp(-inf) = 0
+    e /= np.add.reduce(e, axis=-1, keepdims=rows)
+    return e
 
 
 def validate_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1 or p.min() < 0 \
-            or abs(p.sum() - 1.0) > PROB_SUM_TOL:
+    # negated comparisons, so that NaN fails them
+    if p.ndim != 1 or p.size < 1 or not p.min() >= 0 \
+            or not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
         raise ValueError("invalid distribution")
     return p
 
@@ -54,20 +66,24 @@ def support_entropy(probs):
     """Entropy along the last axis, unvalidated, summed over each support.
 
     The 1-D form is ``-(nz * log nz).sum()`` over the positive entries nz.
-    A row of a stack gives the same value bit for bit: rows with full
-    support are summed in one vectorized pass, the others one at a time
-    (pairwise summation groups terms by position, so dropped entries
-    matter).
+    A row of a stack gives the same value bit for bit. Pairwise summation
+    groups terms by position, so dropped entries matter: a stack with full
+    support is summed in one pass, and otherwise the rows with m positive
+    entries are summed together as an [rows, m] stack of those entries.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 1:
         nz = p[p > 0.0]
         return -(nz * np.log(nz)).sum()
-    full = (p > 0.0).all(axis=-1)
+    if p.min(initial=np.inf) > 0.0:
+        return -(p * np.log(p)).sum(axis=-1)
+    pos = p > 0.0
+    size = np.add.reduce(pos, axis=-1)
     out = np.empty(p.shape[0])
-    out[full] = -(p[full] * np.log(p[full])).sum(axis=-1)
-    for r in np.flatnonzero(~full):
-        out[r] = support_entropy(p[r])
+    for m in np.unique(size):
+        r = np.flatnonzero(size == m)
+        nz = p[r][pos[r]].reshape(r.size, m)
+        out[r] = -(nz * np.log(nz)).sum(axis=-1)
     return out
 
 
@@ -83,46 +99,81 @@ def rescale_logits(logits, temperature) -> np.ndarray:
         low = t.min(initial=np.inf)
     else:
         t = low = temperature
-    if low <= 0:
+    if not low > 0:  # NaN fails too
         raise ValueError("nonpositive temperature")
     return as_logits(logits) / t  # EXCLUDED stays -inf
 
 
-def _keep(a, order, n_keep) -> np.ndarray:
-    """Keep the first n_keep entries of each row's ranking; exclude the rest."""
-    rank = order.argsort(axis=-1)  # inverse permutation: each entry's rank
-    return np.where(rank < n_keep, a, EXCLUDED)
+def _keep_highest(a, score, ranked, n_keep) -> np.ndarray:
+    """Keep the n_keep highest-scoring entries of each row of ``a`` and
+    exclude the rest; ties at the cut keep the lower index.
+
+    ``ranked`` is ``score`` sorted ascending along the last axis, and
+    ``n_keep`` is in [1, V]: a scalar, or one per row. The cut is the row's
+    n_keep-th highest score, and the row keeps the entries at or above it.
+    That keeps too many only where the score just below the cut ties with
+    it; such rows drop their highest-index ties, which is where a stable
+    ranking puts them, with a cumsum over the ties. No other row pays for
+    that. (Where n_keep = V, "just below" wraps to the highest score; the
+    row keeps every entry and drops none.)
+    """
+    i = a.shape[-1] - n_keep  # the cut's place in the ascending order
+    if a.ndim == 1:
+        cut = ranked[i]
+        keep = score >= cut
+        if ranked[i - 1] == cut:
+            tied = score == cut
+            excess = np.count_nonzero(keep) - n_keep
+            keep ^= tied & (tied.cumsum() > tied.sum() - excess)
+        return np.where(keep, a, EXCLUDED)
+    rows = np.arange(a.shape[0])
+    cut = ranked[rows, i][:, None]
+    keep = score >= cut
+    over = np.flatnonzero(ranked[rows, i - 1] == cut[:, 0])
+    if over.size:
+        tied = score[over] == cut[over]
+        excess = np.add.reduce(keep[over], axis=-1) - (
+            n_keep[over] if np.ndim(n_keep) else n_keep)
+        keep[over] ^= tied & (tied.cumsum(axis=-1)
+                              > tied.sum(axis=-1, keepdims=True)
+                              - excess[:, None])
+    return np.where(keep, a, EXCLUDED)
 
 
 def top_k_filter(logits, k: int) -> np.ndarray:
-    """Keep the k highest logits; ties at the cut keep the lower index."""
+    """Keep the k highest logits; ties at the cut keep the lower index.
+
+    The cut is each row's k-th highest logit, read from the sorted row.
+    """
     a = as_logits(logits)
     if k < 1:
         raise ValueError("top-k requires k >= 1")
     if k >= a.shape[-1]:
         return a.copy()
-    # stable sort on the negated vector: equal logits rank lower-index first
-    order = (-a).argsort(axis=-1, kind="stable")
-    return _keep(a, order, k)
+    return _keep_highest(a, a, np.sort(a, axis=-1), k)
 
 
 def top_p_filter(logits, p: float) -> np.ndarray:
-    """Keep the smallest high-probability prefix with cumulative mass >= p."""
+    """Keep the smallest high-probability prefix with cumulative mass >= p.
+
+    The prefix follows the probability ranking, ties at the cut keeping the
+    lower index. Its length counts the entries, in descending order, whose
+    cumulative mass is still below p, plus one; its last probability is the
+    cut.
+    """
     a = as_logits(logits)
     if not 0.0 < p <= 1.0:
         raise ValueError("top-p requires p in (0, 1]")
     if p == 1.0:
         return a.copy()
-    neg = -softmax(a)
-    order = neg.argsort(axis=-1, kind="stable")
-    # the negated probabilities in ranking order (ties are equal, so sorting
-    # the values gives the same sequence); negation is exact, so ncum is the
-    # negated cumulative mass, and counting entries with mass below p is
-    # searchsorted-left
-    neg.sort(axis=-1)
-    ncum = neg.cumsum(axis=-1)
-    cut = np.add.reduce(ncum > -p, axis=-1, keepdims=a.ndim > 1) + 1
-    return _keep(a, order, cut)
+    q = softmax(a)
+    ranked = np.sort(q, axis=-1)
+    # the cumulative mass in descending order, short of the last entry:
+    # counting the sums below p is searchsorted-left, and leaving the
+    # total out keeps all V where rounding leaves it below p
+    cum = ranked[..., :0:-1].cumsum(axis=-1)
+    n_keep = np.add.reduce(cum < p, axis=-1) + 1
+    return _keep_highest(a, q, ranked, n_keep)
 
 
 def cfg_combine(cond, uncond, scale: float) -> np.ndarray:
@@ -165,9 +216,9 @@ def sample_rows(probs, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] < 1 or u.shape != p.shape[:1]:
         raise ValueError("need one uniform per row of an [N, V] stack")
-    # every row must pass validate_probs
-    if p.size and (p.min() < 0
-                   or (abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL).any()):
+    # every row must pass validate_probs, NaN included
+    if p.size and (not p.min() >= 0
+                   or not (abs(p.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()):
         raise ValueError("invalid distribution")
     cum = np.cumsum(p, axis=1)
     # searchsorted-right on a nondecreasing cum: count the entries <= u

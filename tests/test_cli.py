@@ -1,14 +1,18 @@
 import hashlib
 import importlib.util
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropix import pgm
 from entropix.cli import main, run
 from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
-                             MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW,
+                             MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW, MODES,
                              ConfigSyntaxError, ConfigValueError, RunConfig,
                              parse_config, validate_config)
 
@@ -163,6 +167,54 @@ class TestSizeLimits:
                 cfg = write_config(tmp_path / "w.cfg",
                                    w.config_text(0, "out", **keys))
                 parse_config(cfg)
+
+
+def _sized(lo, hi, *beyond):
+    """Small values that decode in milliseconds, or values past a limit."""
+    return st.one_of(st.integers(lo, hi), st.sampled_from(beyond)).map(str)
+
+
+_JUNK = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\r\n"), max_size=12)
+_FLOAT_TEXT = st.one_of(
+    st.floats(), st.floats(-2.0, 3.0),
+    st.sampled_from([0.0, 1.0, 0.5, 1e-300, 1e300])).map(repr)
+_VALUES = {
+    **{key: _FLOAT_TEXT for key in _FLOAT_KEYS},
+    "mode": st.sampled_from(MODES + ("diffusion",)),
+    "preset": st.sampled_from(["llamagen", "star", "gpt"]),
+    "seed": _sized(-3, 1 << 70, -1),
+    "vocab": _sized(-1, 9, MAX_VOCAB + 1, 10 ** 9),
+    "height": _sized(-1, 5, MAX_CELLS + 1),
+    "width": _sized(-1, 5, MAX_CELLS + 1),
+    "length": _sized(-1, 30, MAX_LENGTH + 1),
+    "steps": _sized(-1, 30, 10 ** 9),
+    "window": _sized(-1, 6, MAX_WINDOW + 1),
+    "top_k": _sized(-1, 10, 10 ** 9),
+    "rect": st.lists(st.integers(-1, 5), max_size=5).map(
+        lambda v: ",".join(map(str, v))),
+    "ladder": st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+                       max_size=4).map(
+        lambda v: ",".join(f"{h}x{w}" for h, w in v)),
+    "literal_noise_decay": st.sampled_from(["true", "0", "1", "yes"]),
+}
+# mostly known keys with values of their own kind, sometimes junk text
+_KEYED = st.sampled_from(sorted(_VALUES)).flatmap(
+    lambda key: st.integers(0, 9).flatmap(
+        lambda i: _JUNK if i == 0 else _VALUES[key]).map(
+        lambda value: f"{key} = {value}"))
+_LINE = st.integers(0, 19).flatmap(lambda i: _JUNK if i == 0 else _KEYED)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINE, max_size=14))
+    def test_generate_exits_0_2_or_3(self, lines):
+        with tempfile.TemporaryDirectory() as d:
+            # the last out_dir line wins, so artifacts stay in d
+            lines = lines + [f"out_dir = {os.path.join(d, 'out')}"]
+            path = write_config(Path(d) / "run.cfg", "\n".join(lines) + "\n")
+            assert main(["generate", path]) in (0, 2, 3)
 
 
 def artifact(tmp_path, name):

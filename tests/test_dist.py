@@ -74,6 +74,30 @@ class TestEntropy:
         assert -1e-12 <= eps <= math.log(p.shape[0]) + 1e-12
 
 
+class TestNaNRejected:
+    """A NaN fails every comparison, so each guard is written to fail it."""
+
+    def test_validate_probs(self):
+        for p in ([np.nan, 1.0], [1.0, np.nan], [np.nan]):
+            with pytest.raises(ValueError, match="invalid distribution"):
+                dist.validate_probs(p)
+
+    def test_entropy(self):
+        with pytest.raises(ValueError, match="invalid distribution"):
+            dist.entropy([np.nan, 1.0])
+
+    def test_sample_rows(self):
+        for p in ([[np.nan, 1.0]], [[0.5, 0.5], [1.0, np.nan]]):
+            with pytest.raises(ValueError, match="invalid distribution"):
+                dist.sample_rows(p, [0.5] * len(p))
+
+    def test_rescale_logits(self):
+        with pytest.raises(ValueError, match="nonpositive temperature"):
+            dist.rescale_logits([1.0, 2.0], np.nan)
+        with pytest.raises(ValueError, match="nonpositive temperature"):
+            dist.rescale_logits(np.ones((2, 2)), np.array([1.0, np.nan]))
+
+
 class TestRescale:
     def test_identity(self):
         a = np.array([3.0, -1.0, 0.5])
@@ -117,6 +141,12 @@ class TestTopK:
         out = dist.top_k_filter([1.0, 2.0, 2.0, 2.0], 2)
         np.testing.assert_array_equal(
             out, [dist.EXCLUDED, 2.0, 2.0, dist.EXCLUDED])
+        # per row of a stack, next to a row without ties
+        out = dist.top_k_filter([[1.0, 2.0, 2.0, 2.0], [4.0, 1.0, 3.0, 2.0]],
+                                2)
+        np.testing.assert_array_equal(
+            out, [[dist.EXCLUDED, 2.0, 2.0, dist.EXCLUDED],
+                  [4.0, dist.EXCLUDED, 3.0, dist.EXCLUDED]])
 
     def test_k_below_one(self):
         with pytest.raises(ValueError):
@@ -171,6 +201,73 @@ class TestTopP:
         twice = dist.top_p_filter(once, p)
         assert np.all(np.isfinite(once) | ~np.isfinite(twice))
         assert np.isfinite(twice).sum() >= 1
+
+
+def ref_keep(a, order, n_keep):
+    rank = order.argsort(axis=-1)  # inverse permutation: each entry's rank
+    return np.where(rank < n_keep, a, dist.EXCLUDED)
+
+
+def ref_top_k(logits, k):
+    """Top-k by a stable ranking and its inverse: two argsorts per row."""
+    a = dist.as_logits(logits)
+    if k >= a.shape[-1]:
+        return a.copy()
+    return ref_keep(a, (-a).argsort(axis=-1, kind="stable"), k)
+
+
+def ref_top_p(logits, p):
+    """Top-p by a stable ranking of the probabilities and its inverse."""
+    a = dist.as_logits(logits)
+    if p == 1.0:
+        return a.copy()
+    neg = -dist.softmax(a)
+    order = neg.argsort(axis=-1, kind="stable")
+    neg.sort(axis=-1)
+    cut = np.add.reduce(neg.cumsum(axis=-1) > -p, axis=-1,
+                        keepdims=a.ndim > 1) + 1
+    return ref_keep(a, order, cut)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def logit_inputs(draw):
+    """1-D vectors and [N, V] stacks (N may be 0) with heavy ties, signed
+    zeros and excluded entries; every row keeps one finite entry."""
+    v = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(v,), (draw(st.integers(0, 6)), v)]))
+    a = draw(arrays(np.float64, shape, elements=st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-50, 50),
+        st.sampled_from([-0.0, dist.EXCLUDED]))))
+    if draw(st.booleans()):
+        a = np.round(a)
+    return np.where(np.isfinite(a).any(axis=-1, keepdims=True), a, 0.0)
+
+
+class TestFiltersMatchStableRanking:
+    """The threshold filters against the two-argsort ranking, bit for bit."""
+
+    @given(logit_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_top_k(self, a, data):
+        k = data.draw(st.integers(1, a.shape[-1] + 1))
+        assert_same_bits(dist.top_k_filter(a, k), ref_top_k(a, k))
+
+    @given(logit_inputs(), st.one_of(
+        st.floats(1e-12, 1.0),
+        st.sampled_from([1e-12, np.nextafter(1.0, 0.0), 1.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_top_p(self, a, p):
+        assert_same_bits(dist.top_p_filter(a, p), ref_top_p(a, p))
+
+    def test_empty_batch(self):
+        a = np.zeros((0, 5))
+        assert dist.top_k_filter(a, 2).shape == (0, 5)
+        assert dist.top_p_filter(a, 0.5).shape == (0, 5)
 
 
 class TestCfgCombine:
@@ -306,6 +403,18 @@ class TestRowWisePrimitives:
         p = dist.softmax(a)
         assert np.array_equal(dist.support_entropy(p),
                               [dist.entropy(r) for r in p])
+
+    def test_entropy_mixed_support_sizes(self):
+        # rows with 1 to V positive entries, each summed like its 1-D form,
+        # down to the sign of a zero entropy
+        rng = np.random.default_rng(5)
+        p = dist.softmax(rng.normal(scale=2.0, size=(40, 9)))
+        for r in range(40):
+            p[r, rng.permutation(9)[:r % 9]] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        want = np.array([dist.support_entropy(r) for r in p])
+        assert_same_bits(dist.support_entropy(p), want)
+        assert_same_bits(dist.support_entropy(p[:0]), want[:0])
 
     def test_empty_support_row_rejected(self):
         a = np.zeros((3, 4))
