@@ -3,9 +3,17 @@
 The hash is plain splitmix64 over wrapping 64-bit arithmetic and the float
 mapping is a single multiply by 2^-64, so every output is exact and
 platform-independent (pinned by golden values in ``tests/test_kernels.py``).
+
+One noise helper, ``_noise_into``, serves both logits kernels: the one-row
+``raw_logits`` on scalar keys and 1-D buffers, and the batched
+``raw_logits_rows`` one block of rows at a time. Every hash step on a block
+runs in place on two scratch buffers that stay in cache. Run over the whole
+batch, each step would allocate a fresh [N, V] array, and the kernel's time
+would go on memory rather than arithmetic.
 """
 
-from typing import List, Optional
+import functools
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +29,7 @@ FOLD_IDX = 0xC2B2AE3D27D4EB4F
 FOLD_INIT = 0x243F6A8885A308D3
 
 _INV_2_64 = 2.0 ** -64
+_BLOCK_ELEMS = 1 << 15  # per scratch buffer: 256 KiB of 64-bit values
 
 _U = np.uint64
 _GOLDEN_U, _M1_U, _M2_U = _U(GOLDEN), _U(MIX_M1), _U(MIX_M2)
@@ -37,7 +46,23 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_into(z: np.ndarray, t: np.ndarray) -> None:
+    """mix64 of each value of the uint64 array z, written over z; t is
+    uint64 scratch of z's shape."""
+    z += _GOLDEN_U
+    np.right_shift(z, _S30, out=t)
+    z ^= t
+    z *= _M1_U
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _M2_U
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+
+
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    """As ``_mix64_into``, into new arrays: faster on the few-element key
+    arrays the oracle and the fold hash."""
     z = z + _GOLDEN_U
     z = (z ^ (z >> _S30)) * _M1_U
     z = (z ^ (z >> _S27)) * _M2_U
@@ -92,16 +117,38 @@ def prefix_fold(tokens: np.ndarray, indices: np.ndarray) -> int:
     return fold.digest()
 
 
-def _noise(pos_keys, ctx_keys, c: float, vocab: int) -> np.ndarray:
-    """Hashed base noise in [0, 1) along the last axis, blended with the
-    context keys' noise at c > 0. Keys are uint64 scalars for one row or
-    [N, 1] uint64 arrays for N rows."""
+@functools.lru_cache(maxsize=16)
+def _salts(vocab: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The per-token salt offsets k * TOK_SALT and k * CTX_SALT, k < vocab;
+    read-only, since every call with this vocab shares them."""
     k = np.arange(vocab, dtype=np.uint64)
-    u = _mix64_vec(pos_keys + k * _TOK_SALT_U).astype(np.float64) * _INV_2_64
+    tok, ctx = k * _TOK_SALT_U, k * _CTX_SALT_U
+    tok.flags.writeable = ctx.flags.writeable = False
+    return tok, ctx
+
+
+def _noise_into(out: np.ndarray, pos_keys, ctx_keys, c: float,
+                z: np.ndarray, t: np.ndarray) -> None:
+    """Write the hashed noise of one block into ``out``: the position keys'
+    noise in [0, 1) along the last axis, blended with the context keys'
+    noise at c > 0: ``(1 - c) * u + c * u2``. Keys are uint64 scalars for
+    one row or [b, 1] uint64 arrays for b rows; z and t are uint64 scratch
+    of ``out``'s shape, overwritten.
+    """
+    tok, ctx = _salts(out.shape[-1])
+    np.add(pos_keys, tok, out=z)
+    _mix64_into(z, t)
+    # (1 - c) * 2^-64 is exact for every c in [0, 1], so one multiply
+    # gives (1 - c) * u; c * 2^-64 is subnormal for c below 2^-958, so
+    # the context term keeps its two multiplies
+    np.multiply(z, (1.0 - c) * _INV_2_64, out=out)
     if c != 0.0:
-        u2 = _mix64_vec(ctx_keys + k * _CTX_SALT_U).astype(np.float64) * _INV_2_64
-        u = (1.0 - c) * u + c * u2
-    return u
+        np.add(ctx_keys, ctx, out=z)
+        _mix64_into(z, t)
+        u2 = t.view(np.float64)  # t is free again: reuse it for floats
+        np.multiply(z, _INV_2_64, out=u2)
+        u2 *= c
+        out += u2
 
 
 def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
@@ -110,22 +157,36 @@ def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
     """[N, V] base logits; row n is raw_logits for the n-th key, target and
     gap. ``ctx_keys`` is unused at c = 0.
 
-    Every operation is elementwise, so a row equals the single-row result
-    bit for bit.
+    The noise is written into the output a block of rows at a time, each
+    block through the same two scratch buffers of about ``_BLOCK_ELEMS``
+    values, so the hash's intermediate arrays stay in cache and no
+    operation allocates an [N, V] temporary. Every operation is
+    elementwise, so a row equals the single-row result bit for bit.
     """
-    u = _noise(pos_keys[:, None], None if ctx_keys is None
-               else ctx_keys[:, None], c, vocab)
-    u[np.arange(u.shape[0]), tstars] += gaps
-    return u
+    n = pos_keys.shape[0]
+    out = np.empty((n, vocab))
+    rows = max(1, _BLOCK_ELEMS // vocab)
+    z = np.empty((min(n, rows), vocab), dtype=np.uint64)
+    t = np.empty_like(z)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        _noise_into(out[lo:hi], pos_keys[lo:hi, None],
+                    None if ctx_keys is None else ctx_keys[lo:hi, None],
+                    c, z[:hi - lo], t[:hi - lo])
+    out[np.arange(n), tstars] += gaps
+    return out
 
 
 def raw_logits(pos_key: int, ctx_key: int, c: float, vocab: int,
                tstar: int, gap: float) -> np.ndarray:
     """Deterministic base logits: hashed noise plus a gap on the target token.
 
-    The one-row case of ``raw_logits_rows``, on scalar keys and with a
-    scalar gap add, so a one-row query builds no index arrays.
+    The one-row case of ``raw_logits_rows``: the same noise helper on
+    scalar keys and 1-D buffers, with a scalar gap add, so a one-row query
+    builds no index arrays.
     """
-    u = _noise(_U(pos_key), _U(ctx_key), c, vocab)
-    u[tstar] += gap
-    return u
+    out = np.empty(vocab)
+    z = np.empty(vocab, dtype=np.uint64)
+    _noise_into(out, _U(pos_key), _U(ctx_key), c, z, np.empty_like(z))
+    out[tstar] += gap
+    return out

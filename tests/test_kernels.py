@@ -8,6 +8,8 @@ shift or rounding step changes it.
 import hashlib
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entropix import _kernels_py as k
 
@@ -18,6 +20,51 @@ def rand_u64(rng, n):
 
 def sha256(a) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def unmix64(h: int) -> int:
+    """The value z with mix64(z) == h: each finalizer step undone."""
+    def unshift(y, s):  # x from y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    h = unshift(h, 31) * pow(k.MIX_M2, -1, 1 << 64) & k.MASK64
+    h = unshift(h, 27) * pow(k.MIX_M1, -1, 1 << 64) & k.MASK64
+    return (unshift(h, 30) - k.GOLDEN) & k.MASK64
+
+
+# position and context keys whose token-0 hashes are 0 and 3 * 2^62: the
+# position noise there is exactly 0, so the context term alone sets the value
+ZERO_POS_KEY, CTX_KEY_3_4 = unmix64(0), unmix64(3 << 62)
+
+
+def ref_noise(pos_keys, ctx_keys, c, vocab):
+    """The allocating noise formula: one new array per operation."""
+    t = np.arange(vocab, dtype=np.uint64)
+    u = k._mix64_vec(pos_keys + t * np.uint64(k.TOK_SALT)).astype(
+        np.float64) * 2.0 ** -64
+    if c != 0.0:
+        u2 = k._mix64_vec(ctx_keys + t * np.uint64(k.CTX_SALT)).astype(
+            np.float64) * 2.0 ** -64
+        u = (1.0 - c) * u + c * u2
+    return u
+
+
+def ref_raw_logits_rows(pos_keys, ctx_keys, c, vocab, tstars, gaps):
+    u = ref_noise(pos_keys[:, None], ctx_keys[:, None], c, vocab)
+    u[np.arange(u.shape[0]), tstars] += gaps
+    return u
+
+
+def row_inputs(rng, n, vocab):
+    """n rows of keys with repeated targets and every third gap zero."""
+    pk, ctx = rand_u64(rng, n), rand_u64(rng, n)
+    tstars = rng.integers(0, max(1, vocab // 4), size=n)
+    gaps = rng.uniform(0, 30, size=n)
+    gaps[::3] = 0.0
+    return pk, ctx, tstars, gaps
 
 
 class TestMix64:
@@ -89,16 +136,61 @@ class TestRawLogits:
         assert h.hexdigest() == \
             "dab855acee457cf993678868278e7ec502a27bc8b016f290cedb442949e5f362"
 
-    def test_rows_equal_one_row(self):
-        # pins the batched scatter to the one-row kernel's scalar gap add
-        rng = np.random.default_rng(4)
-        n, vocab = 20, 33
+    def test_rows_multi_block_seeded(self):
+        # 600 rows span more than one block; recorded from the unblocked
+        # kernel, which computed each [N, V] operation at once
+        rng = np.random.default_rng(5)
+        n, vocab = 600, 97
+        assert n > k._BLOCK_ELEMS // vocab
         pk, ctx = rand_u64(rng, n), rand_u64(rng, n)
-        tstars = rng.integers(0, vocab, size=n)
+        tstars = rng.integers(0, vocab // 4, size=n)
         gaps = rng.uniform(0, 30, size=n)
+        gaps[::5] = 0.0
+        h = hashlib.sha256()
         for c in (0.0, 0.6, 1.0):
-            rows = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
-            for i in range(n):
-                one = k.raw_logits(int(pk[i]), int(ctx[i]), c, vocab,
-                                   int(tstars[i]), float(gaps[i]))
-                assert np.array_equal(rows[i], one)
+            h.update(k.raw_logits_rows(pk, ctx, c, vocab, tstars,
+                                       gaps).tobytes())
+        assert h.hexdigest() == \
+            "0623c28818e31b922a3a80bca7d89d5e72b359c6dd2a83fab0da9ed1060bd7ae"
+
+    def test_rows_equal_one_row(self):
+        # pins the batched scatter to the one-row kernel's scalar gap add,
+        # at batch sizes around the block size b
+        rng = np.random.default_rng(4)
+        vocab = 97
+        b = k._BLOCK_ELEMS // vocab
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+            pk, ctx, tstars, gaps = row_inputs(rng, n, vocab)
+            for c in (0.0, 0.6, 1.0):
+                rows = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
+                assert rows.shape == (n, vocab)
+                for i in range(n):
+                    one = k.raw_logits(int(pk[i]), int(ctx[i]), c, vocab,
+                                       int(tstars[i]), float(gaps[i]))
+                    assert np.array_equal(rows[i], one)
+
+
+class TestRawLogitsMatchesReference:
+    """The blocked kernel against the allocating formula, bit for bit."""
+
+    def test_unmix64(self):
+        assert k.mix64(ZERO_POS_KEY) == 0
+        assert k.mix64(CTX_KEY_3_4) == 3 << 62
+
+    @given(st.integers(0, 600), st.integers(1, 200),
+           st.one_of(st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0)),
+                                      1e-300, 5e-324])),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    @example(1, 1, 5e-324, 0, True)
+    @example(1, 1, 1e-300, 0, True)
+    def test_rows(self, n, vocab, c, seed, zero_noise):
+        pk, ctx, tstars, gaps = row_inputs(np.random.default_rng(seed), n,
+                                           vocab)
+        if zero_noise and n:
+            pk[-1], ctx[-1], gaps[-1] = ZERO_POS_KEY, CTX_KEY_3_4, 0.0
+        got = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
+        want = ref_raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
