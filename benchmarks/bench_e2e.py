@@ -25,7 +25,8 @@ import subprocess
 import sys
 
 LAYERS = ("oracle.logits_rows.self_s", "kernels.raw_logits_rows.self_s",
-          "kernels.raw_logits.self_s", "temperature.pipeline_probs.self_s")
+          "kernels.raw_logits.self_s", "temperature.pipeline_probs.self_s",
+          "oracle.digest_of.self_s", "oracle.running_digest.self_s")
 MIN_SEEDS = 10
 
 

@@ -10,6 +10,10 @@ One noise helper, ``_noise_into``, serves both logits kernels: the one-row
 runs in place on two scratch buffers that stay in cache. Run over the whole
 batch, each step would allocate a fresh [N, V] array, and the kernel's time
 would go on memory rather than arithmetic.
+
+``RunningDigest`` is the one running form of the conditioning fold
+``prefix_fold``: every decoder keeps its prefix digest in one, appending the
+(token, index) pairs it commits instead of refolding the prefix.
 """
 
 import functools
@@ -76,34 +80,39 @@ def pair_hashes(tokens, indices) -> np.ndarray:
     return _mix64_vec(t * _FOLD_TOK_U + i * _FOLD_IDX_U)
 
 
-class Fold:
-    """Running form of ``prefix_fold``: mix64 of FOLD_INIT XOR the pair hashes.
+class RunningDigest:
+    """The one running form of the conditioning fold: mix64 of FOLD_INIT
+    XOR the hashes of every (token, index) pair appended so far.
 
-    XOR is associative and commutative, so pairs can be added a batch at a
-    time, the way a KV cache grows, and the digest of the fold plus a
-    candidate continuation costs only the continuation.
+    Every decoder keeps its prefix digest here, appending the pairs it
+    commits, the way a KV cache grows: next-token and Jacobi decoding at
+    sequential indices, mask decoding at the grid positions it accepts,
+    scale decoding at each scale's strided positions. XOR is associative
+    and commutative, so the digest does not depend on the order or batching
+    of the appends and equals ``prefix_fold`` of all the pairs bit for bit,
+    and the digest of the prefix plus a candidate continuation costs only
+    the continuation. Tokens must be real token ids: the reserved mask id
+    is not dropped here.
     """
 
     def __init__(self):
         self.acc = FOLD_INIT
 
-    def add(self, tokens, indices) -> None:
+    def append(self, tokens, indices) -> None:
         if len(tokens) == 1:
-            # one pair, as sequential decoding adds: plain ints cost a
+            # one pair, as sequential decoding appends: plain ints cost a
             # fraction of the array round trip
             z = int(tokens[0]) * FOLD_TOK + int(indices[0]) * FOLD_IDX
             self.acc ^= mix64(z & MASK64)
             return
-        h = pair_hashes(tokens, indices)
-        if h.size:
-            self.acc ^= int(np.bitwise_xor.reduce(h))
+        self.acc ^= int(np.bitwise_xor.reduce(pair_hashes(tokens, indices)))
 
     def digest(self) -> int:
         return mix64(self.acc)
 
     def continuation_digests(self, tokens, indices) -> List[int]:
-        """Digests after adding the first i pairs, for i = 0..n; the fold
-        itself is left unchanged."""
+        """Digests after appending the first i pairs, for i = 0..n; the
+        running digest itself is left unchanged."""
         h = pair_hashes(tokens, indices)
         x = np.zeros(h.shape[0] + 1, dtype=np.uint64)
         np.bitwise_xor.accumulate(h, out=x[1:])
@@ -112,9 +121,8 @@ class Fold:
 
 def prefix_fold(tokens: np.ndarray, indices: np.ndarray) -> int:
     """Order-independent 64-bit digest of (token, position) pairs."""
-    fold = Fold()
-    fold.add(tokens, indices)
-    return fold.digest()
+    return mix64(FOLD_INIT
+                 ^ int(np.bitwise_xor.reduce(pair_hashes(tokens, indices))))
 
 
 @functools.lru_cache(maxsize=16)

@@ -235,10 +235,17 @@ def cmd_sweep(config_path: str, param: str, values_text: str) -> int:
     if not raw:
         raise ConfigValueError("sweep needs at least one value")
     attr, cast = SWEEP_PARAMS[param]
+    bad = ConfigValueError(f"bad sweep values: {values_text!r}")
     try:
-        values = [cast(float(v)) if cast is int else cast(v) for v in raw]
+        values = [float(v) for v in raw]
     except ValueError:
-        raise ConfigValueError(f"bad sweep values: {values_text!r}") from None
+        raise bad from None
+    if cast is int:
+        # an integer parameter takes integral values only, written as
+        # floats or not ("8.0"); is_integer is False for inf and NaN
+        if not all(v.is_integer() for v in values):
+            raise bad
+        values = [int(v) for v in values]
 
     header = ["param", "value", "entropy_mean", "entropy_var",
               "mean_temperature", "model_invocations", "acceptance_rate"]

@@ -70,7 +70,7 @@ def next_token_generate(oracle: Oracle, length: int, block: int,
         probs, eps, t = score(oracle, pos, running.digest(), tp, top_k, top_p,
                               cfg_scale)
         token = dist.sample_categorical(probs, rng)
-        running.append((token,))
+        running.append((token,), (pos,))
         tokens.append(token)
         eps_list.append(eps)
         temps.append(float(t))

@@ -18,7 +18,7 @@ import numpy as np
 
 from entropix import dist
 from entropix.decode import score
-from entropix.oracle import Oracle, mask_token
+from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
 from entropix.temperature import TempParams
 
@@ -115,9 +115,10 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     """Full mask-prediction loop.
 
     Each step scores all open positions in one batch (``decode.score``);
-    they share the digest of the frozen grid. It then draws 2 uniforms per
-    open position in row-major order: the token's inverse-CDF uniform, then
-    its Gumbel uniform.
+    they share the digest of the frozen grid, which a ``RunningDigest``
+    keeps by appending each step's newly accepted pairs. It then draws 2
+    uniforms per open position in row-major order: the token's inverse-CDF
+    uniform, then its Gumbel uniform.
 
     Returns (token grid, entropy map recorded at each position's acceptance
     step, list of MaskState snapshots, applied-temperature list).
@@ -129,15 +130,13 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     entropy_map = np.zeros(shape)
     temps: List[float] = []
     history = [state]
-    mid = mask_token(oracle.cfg.vocab)
+    running = RunningDigest()  # the accepted (token, position) pairs
     for k_t in schedule.counts:
-        grid_cond = np.where(state.accepted, state.tokens, mid)
         open_pos = np.flatnonzero(~state.accepted.reshape(-1))
         n = open_pos.shape[0]
         # the conditioning digest is shared by every open position this step
-        digests = [oracle.digest_of(grid_cond.reshape(-1))] * n
-        probs, eps, t = score(oracle, open_pos, digests, tp, top_k, top_p,
-                              cfg_scale)
+        probs, eps, t = score(oracle, open_pos, [running.digest()] * n, tp,
+                              top_k, top_p, cfg_scale)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
         drafted = dist.sample_rows(probs, u[:, 0])
         conf = np.full(h * w, -np.inf)
@@ -152,6 +151,7 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
         state = update_mask(conf.reshape(shape), state, k_t,
                             sampled_tokens=drafts.reshape(shape))
         newly &= state.accepted
+        running.append(state.tokens[newly], np.flatnonzero(newly))
         entropy_map[newly] = step_eps.reshape(shape)[newly]
         history.append(state)
     assert state.accepted.all()

@@ -5,15 +5,18 @@ Each grid position gets hashed base noise in [0, 1) plus a logit gap of
 near-uniform (high entropy) distribution, kappa = 1 a near-deterministic one.
 ``context_sensitivity`` blends in noise keyed by a digest of the conditioning
 prefix, so logits react to previously decoded tokens; at 0 the oracle is
-stationary and prefix-independent.
+stationary and prefix-independent. Decoders keep that digest in a
+``RunningDigest`` (from the kernels), appending the pairs they commit;
+``digest_of`` folds a whole prefix at once.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from entropix import _kernels_py
+from entropix._kernels_py import RunningDigest  # noqa: F401 (re-exported)
 
 GAP_MAX = 30.0
 
@@ -188,34 +191,3 @@ class Oracle:
         return _kernels_py.raw_logits_rows(
             pk, ctx, cfg.context_sensitivity, cfg.vocab, pk % U(cfg.vocab),
             gaps)
-
-
-class RunningDigest:
-    """Conditioning digest of a sequential prefix (indices 0..n-1), kept
-    incrementally the way a KV cache is kept.
-
-    Appending tokens adds their pairs to a running ``Fold``, and the digest
-    of the prefix plus a candidate continuation costs only the
-    continuation. Every digest equals ``Oracle.digest_of`` of the full
-    prefix bit for bit. Tokens must be real token ids: the reserved mask id
-    is not dropped here.
-    """
-
-    def __init__(self):
-        self._fold = _kernels_py.Fold()
-        self.length = 0
-
-    def _indices(self, n: int) -> range:
-        return range(self.length, self.length + n)
-
-    def append(self, tokens: Sequence[int]) -> None:
-        self._fold.add(tokens, self._indices(len(tokens)))
-        self.length += len(tokens)
-
-    def digest(self) -> int:
-        return self._fold.digest()
-
-    def continuation_digests(self, tokens: Sequence[int]) -> List[int]:
-        """Digests of prefix + tokens[:i] for i = 0..len(tokens)."""
-        return self._fold.continuation_digests(tokens,
-                                               self._indices(len(tokens)))

@@ -13,7 +13,7 @@ import numpy as np
 
 from entropix import dist
 from entropix.decode import score
-from entropix.oracle import Oracle
+from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
 from entropix.temperature import TempParams
 
@@ -70,8 +70,7 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
     entropy_maps: List[np.ndarray] = []
     mean_entropy: List[float] = []
     temps: List[float] = []
-    prefix_tokens: List[int] = []
-    prefix_indices: List[int] = []
+    running = RunningDigest()  # the coarser scales' (token, position) pairs
     ph, pw = oracle.cfg.shape
     for s, (h, w) in enumerate(ladder, start=1):
         if h < 1 or w < 1:
@@ -81,17 +80,14 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
         i, j = np.divmod(np.arange(h * w), w)
         kappas = oracle.cfg.profile[i * ph // h, j * pw // w]
         # every position of a scale conditions on the same coarser scales
-        digest = 0
-        if oracle.cfg.context_sensitivity != 0.0:
-            digest = oracle.digest_of(prefix_tokens, prefix_indices)
+        digest = running.digest()
         probs, eps, t = score(
             oracle, positions, [digest] * (h * w), tp, top_k, top_p,
             cfg_scale, kappas, partial(scale_temperature, s=s, sp=sp))
         # one uniform per position in row-major order
         tokens = dist.sample_rows(probs, rng.uniforms(h * w))
         temps.extend(t)
-        prefix_tokens.extend(tokens.tolist())
-        prefix_indices.extend(positions.tolist())
+        running.append(tokens, positions)
         grids.append(tokens.reshape(h, w))
         entropy_maps.append(eps.reshape(h, w))
         mean_entropy.append(float(entropy_maps[-1].mean()))

@@ -81,11 +81,18 @@ def residual_resample(new_dist, old_dist, rng: RngStream) -> int:
 
 @dataclass
 class SpecStats:
-    model_invocations: int = 0
     tokens_emitted: int = 0
     accept_tests: int = 0
-    accepted: int = 0
     per_iteration_accepted: List[int] = field(default_factory=list)
+
+    @property
+    def model_invocations(self) -> int:
+        """One batched query per iteration."""
+        return len(self.per_iteration_accepted)
+
+    @property
+    def accepted(self) -> int:
+        return sum(self.per_iteration_accepted)
 
     @property
     def mean_acceptance_rate(self) -> float:
@@ -106,8 +113,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
 
     Slot i conditions on the emitted prefix plus drafts[:i]. Its digest comes
     from a running digest of the emitted prefix (``RunningDigest``), so no
-    prefix is copied or refolded; with a stationary oracle
-    (context_sensitivity 0) no digest is computed at all.
+    prefix is copied or refolded.
 
     Returns (token list, SpecStats, entropy list, applied-temperature list).
     """
@@ -120,18 +126,14 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
     vocab = oracle.cfg.vocab
     drafts = [rng.integer(vocab) for _ in range(window)]
     prev: List[Optional[np.ndarray]] = [None] * window
-    track = oracle.cfg.context_sensitivity != 0.0
     running = RunningDigest()
 
     while len(emitted) < length:
         base = len(emitted)
         w_eff = min(window, length - base)
-        stats.model_invocations += 1
         positions = range(base, base + w_eff)
-        if track:
-            digests = running.continuation_digests(drafts[:w_eff - 1])
-        else:
-            digests = [0] * w_eff
+        digests = running.continuation_digests(drafts[:w_eff - 1],
+                                               positions[:w_eff - 1])
         q, eps_rows, t_rows = score(oracle, positions, digests, tp, top_k,
                                     top_p, cfg_scale)
         eps_list = eps_rows.tolist()
@@ -157,7 +159,6 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
             else:
                 ok = baseline_accept(p_new, p_old, r)
             if ok:
-                stats.accepted += 1
                 accepted_this += 1
                 emitted.append(drafts[i])
                 eps_out.append(eps_list[i])
@@ -168,8 +169,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
                 advance = i + 1
                 break
         stats.per_iteration_accepted.append(accepted_this)
-        if track:
-            running.append(emitted[base:])
+        running.append(emitted[base:], range(base, len(emitted)))
 
         # slide the window: survivors resample from this iteration's
         # distributions (one uniform each, in slot order), fresh tail slots

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropix import pgm
-from entropix.cli import main, run
+from entropix.cli import SWEEP_PARAMS, main, run
 from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
                              MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW, MODES,
                              ConfigSyntaxError, ConfigValueError, RunConfig,
@@ -204,6 +204,12 @@ _KEYED = st.sampled_from(sorted(_VALUES)).flatmap(
         lambda i: _JUNK if i == 0 else _VALUES[key]).map(
         lambda value: f"{key} = {value}"))
 _LINE = st.integers(0, 19).flatmap(lambda i: _JUNK if i == 0 else _KEYED)
+# sweep values: integers, fractions, huge and non-finite floats, junk
+_SWEEP_VALUE = st.one_of(
+    st.integers(-2, 40).map(str), st.floats(-2.0, 40.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["1e400", "-1e400", "1e300", "1e18", "nan", "8.0"]),
+    _JUNK)
 
 
 class TestFuzz:
@@ -215,6 +221,30 @@ class TestFuzz:
             lines = lines + [f"out_dir = {os.path.join(d, 'out')}"]
             path = write_config(Path(d) / "run.cfg", "\n".join(lines) + "\n")
             assert main(["generate", path]) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MODES),
+           st.one_of(st.sampled_from(sorted(SWEEP_PARAMS)), _JUNK),
+           st.lists(_SWEEP_VALUE, min_size=1, max_size=3))
+    def test_sweep_exits_0_2_or_3(self, mode, param, values):
+        with tempfile.TemporaryDirectory() as d:
+            path = write_config(Path(d) / "run.cfg", f"""
+mode = {mode}
+vocab = 8
+height = 4
+width = 4
+context_sensitivity = 0.5
+steps = 4
+window = 4
+out_dir = {os.path.join(d, 'out')}
+""")
+            try:
+                code = main(["sweep", path, param, ",".join(values)])
+            except SystemExit as exc:
+                # argparse's usage error (a value such as "-1e-3" reads as
+                # an option) or --help
+                code = exc.code
+            assert code in (0, 2, 3)
 
 
 def artifact(tmp_path, name):
@@ -350,6 +380,21 @@ class TestSweep:
     def test_invalid_swept_value_rejected(self, tmp_path, capsys):
         assert main(["sweep", base_config(tmp_path), "T0", "1,-2"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("values", ["1e400", "2,inf", "1.5", "nan"])
+    def test_integer_parameter_needs_integral_values(self, tmp_path, capsys,
+                                                     values):
+        # top_k = 1.5 in a config is a syntax error; swept, it must not
+        # run as 1, and a non-finite value must not escape as a traceback
+        assert main(["sweep", base_config(tmp_path), "K", values]) == 3
+        assert "bad sweep values" in capsys.readouterr().err
+        assert not os.path.exists(artifact(tmp_path, "sweep.csv"))
+
+    def test_integer_parameter_accepts_integral_float(self, tmp_path, capsys):
+        assert main(["sweep", base_config(tmp_path), "K", "8.0,3"]) == 0
+        capsys.readouterr()
+        rows = open(artifact(tmp_path, "sweep.csv")).read().splitlines()
+        assert [r.split(",")[1] for r in rows[1:]] == ["8", "3"]
 
 
 def float_digest(values):

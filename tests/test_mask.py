@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from entropix import mask
 from entropix.mask import (MaskState, StepSchedule, confidence_rows,
                            cosine_schedule, mask_generate, update_mask)
-from entropix.oracle import Oracle, OracleConfig, profile_rect
+from entropix.oracle import Oracle, OracleConfig, mask_token, profile_rect
 from entropix.rng import RngStream
 from entropix.temperature import preset
 
@@ -209,6 +210,27 @@ class TestMaskGenerate:
         ]
         np.testing.assert_array_equal(grid, expected)
         assert cosine_schedule(64, 8).counts == (1, 4, 6, 8, 10, 11, 12, 12)
+
+    def test_steps_condition_on_the_frozen_grid(self, monkeypatch):
+        # each step's digest is that of the grid accepted before it, mask
+        # ids dropped; drafts that were not accepted must not leak in
+        seen = []
+
+        def recording(oracle, positions, digests, *args, **kwargs):
+            seen.append(list(digests))
+            return score(oracle, positions, digests, *args, **kwargs)
+
+        score = mask.score
+        monkeypatch.setattr(mask, "score", recording)
+        o = small_oracle()
+        _, _, hist, _ = mask_generate(o, (8, 8), cosine_schedule(64, 8),
+                                      preset("llamagen"), RngStream(11))
+        assert len(seen) == len(hist) - 1
+        mid = mask_token(16)
+        for digests, before in zip(seen, hist):
+            grid = np.where(before.accepted, before.tokens, mid)
+            assert digests == [o.digest_of(grid.reshape(-1))] \
+                * before.remaining()
 
     def test_entropy_map_bounds(self):
         grid, emap, _, _ = mask_generate(

@@ -173,24 +173,46 @@ class TestRunningDigest:
         # equal folding the whole prefix from scratch
         o = make(c=0.5)
         split = data.draw(st.integers(0, len(tokens)))
+        index = range(len(tokens))
         running = RunningDigest()
-        running.append(tokens[:split])
+        running.append(tokens[:split], index[:split])
         assert running.digest() == o.digest_of(tokens[:split])
-        conts = running.continuation_digests(tokens[split:])
+        conts = running.continuation_digests(tokens[split:], index[split:])
         assert conts == [o.digest_of(tokens[:split + i])
                          for i in range(len(tokens) - split + 1)]
-        running.append(tokens[split:])
-        assert running.length == len(tokens)
+        running.append(tokens[split:], index[split:])
         assert running.digest() == o.digest_of(tokens)
         # one token at a time, as sequential decoding appends
         single = RunningDigest()
-        for t in tokens:
-            single.append([t])
+        for i, t in enumerate(tokens):
+            single.append([t], [i])
         assert single.digest() == o.digest_of(tokens)
+
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(1, 12),
+                              st.integers(0, (1 << 20) - 1)),
+                    max_size=40),
+           st.data())
+    @settings(max_examples=60)
+    def test_strided_batches_match_digest_of(self, pairs, data):
+        # batches of pairs at scale positions s * SCALE_STRIDE + i, split
+        # anywhere: the running digest equals digest_of of what was
+        # appended, and each continuation digest that of the extended prefix
+        o = make(c=0.5)
+        toks = [t for t, _, _ in pairs]
+        idxs = [s * SCALE_STRIDE + i for _, s, i in pairs]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)),
+                                         max_size=4)))
+        running = RunningDigest()
+        for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
+            conts = running.continuation_digests(toks[lo:hi], idxs[lo:hi])
+            assert conts == [o.digest_of(toks[:lo + i], idxs[:lo + i])
+                             for i in range(hi - lo + 1)]
+            running.append(np.array(toks[lo:hi]), np.array(idxs[lo:hi]))
+            assert running.digest() == o.digest_of(toks[:hi], idxs[:hi])
 
     def test_empty_prefix(self):
         assert RunningDigest().digest() == make().digest_of([])
-        assert RunningDigest().continuation_digests([]) \
+        assert RunningDigest().continuation_digests([], []) \
             == [make().digest_of([])]
 
 

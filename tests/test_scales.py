@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from entropix import dist
+from entropix import dist, scales
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
 from entropix.scales import (SCALE_STRIDE, ScaleTempParams, scale_generate,
@@ -125,6 +125,28 @@ class TestScaleGenerate:
         b = o.logits_at(pos, [(int(g1[0][0, 0]) + 1) % 16], [1 * SCALE_STRIDE],
                         kappa=o.kappa_at(0))
         assert not np.array_equal(a, b)
+
+    def test_scales_condition_on_coarser_scales(self, monkeypatch):
+        # scale s is scored on the digest of scales 1..s-1 at their strided
+        # positions, never of itself
+        seen = []
+
+        def recording(oracle, positions, digests, *args, **kwargs):
+            seen.append(list(digests))
+            return score(oracle, positions, digests, *args, **kwargs)
+
+        score = scales.score
+        monkeypatch.setattr(scales, "score", recording)
+        o = make_oracle()
+        ladder = [(1, 1), (2, 2), (4, 4)]
+        grids, _, _, _ = scale_generate(o, ladder, preset("llamagen"),
+                                        ScaleTempParams(0.3, 3), RngStream(5))
+        assert len(seen) == len(ladder)
+        toks, idxs = [], []
+        for s, (digests, grid) in enumerate(zip(seen, grids), start=1):
+            assert digests == [o.digest_of(toks, idxs)] * grid.size
+            toks += grid.reshape(-1).tolist()
+            idxs += (s * SCALE_STRIDE + np.arange(grid.size)).tolist()
 
     def test_golden_three_scale_run(self):
         grids, emaps, me, temps = scale_generate(
