@@ -11,6 +11,15 @@ runs in place on two scratch buffers that stay in cache. Run over the whole
 batch, each step would allocate a fresh [N, V] array, and the kernel's time
 would go on memory rather than arithmetic.
 
+A row's noise is ``(1 - c) * H(position key) + c * H(context key)``, and
+only the context key depends on the prefix. ``raw_logits_rows`` called with
+no context keys and no gaps returns the first half alone, the position
+noise; both kernels take it back as ``noise``, skip the position hash and
+add the context term and the gap in the usual order, so the row is the
+same bit for bit. Mask decoding hashes the position noise of the whole
+grid once and reuses it at every step; next-token decoding under context
+hashes it a block of positions at a time and passes one row per call.
+
 ``RunningDigest`` is the one running form of the conditioning fold
 ``prefix_fold``: every decoder keeps its prefix digest in one, appending the
 (token, index) pairs it commits instead of refolding the prefix.
@@ -141,16 +150,19 @@ def _noise_into(out: np.ndarray, pos_keys, ctx_keys, c: float,
     noise in [0, 1) along the last axis, blended with the context keys'
     noise at c > 0: ``(1 - c) * u + c * u2``. Keys are uint64 scalars for
     one row or [b, 1] uint64 arrays for b rows; z and t are uint64 scratch
-    of ``out``'s shape, overwritten.
+    of ``out``'s shape, overwritten. With ``pos_keys`` None, ``out``
+    already holds the position term ``(1 - c) * u``; with ``ctx_keys``
+    None, no context term is added.
     """
     tok, ctx = _salts(out.shape[-1])
-    np.add(pos_keys, tok, out=z)
-    _mix64_into(z, t)
-    # (1 - c) * 2^-64 is exact for every c in [0, 1], so one multiply
-    # gives (1 - c) * u; c * 2^-64 is subnormal for c below 2^-958, so
-    # the context term keeps its two multiplies
-    np.multiply(z, (1.0 - c) * _INV_2_64, out=out)
-    if c != 0.0:
+    if pos_keys is not None:
+        np.add(pos_keys, tok, out=z)
+        _mix64_into(z, t)
+        # (1 - c) * 2^-64 is exact for every c in [0, 1], so one multiply
+        # gives (1 - c) * u; c * 2^-64 is subnormal for c below 2^-958, so
+        # the context term keeps its two multiplies
+        np.multiply(z, (1.0 - c) * _INV_2_64, out=out)
+    if c != 0.0 and ctx_keys is not None:
         np.add(ctx_keys, ctx, out=z)
         _mix64_into(z, t)
         u2 = t.view(np.float64)  # t is free again: reuse it for floats
@@ -160,8 +172,9 @@ def _noise_into(out: np.ndarray, pos_keys, ctx_keys, c: float,
 
 
 def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
-                    c: float, vocab: int, tstars: np.ndarray,
-                    gaps: np.ndarray) -> np.ndarray:
+                    c: float, vocab: int, tstars: Optional[np.ndarray] = None,
+                    gaps: Optional[np.ndarray] = None,
+                    noise: Optional[np.ndarray] = None) -> np.ndarray:
     """[N, V] base logits; row n is raw_logits for the n-th key, target and
     gap. ``ctx_keys`` is unused at c = 0.
 
@@ -170,31 +183,41 @@ def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
     values, so the hash's intermediate arrays stay in cache and no
     operation allocates an [N, V] temporary. Every operation is
     elementwise, so a row equals the single-row result bit for bit.
+
+    With no ``ctx_keys`` and no ``gaps`` the result is the position noise
+    ``(1 - c) * u`` alone. Passed back as ``noise`` (float64 [N, V]), it
+    becomes the output, overwritten in place: the position hash is skipped
+    and only the context term and the gaps are added.
     """
     n = pos_keys.shape[0]
-    out = np.empty((n, vocab))
+    out = np.empty((n, vocab)) if noise is None else noise
     rows = max(1, _BLOCK_ELEMS // vocab)
     z = np.empty((min(n, rows), vocab), dtype=np.uint64)
     t = np.empty_like(z)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        _noise_into(out[lo:hi], pos_keys[lo:hi, None],
+        _noise_into(out[lo:hi],
+                    None if noise is not None else pos_keys[lo:hi, None],
                     None if ctx_keys is None else ctx_keys[lo:hi, None],
                     c, z[:hi - lo], t[:hi - lo])
-    out[np.arange(n), tstars] += gaps
+    if gaps is not None:
+        out[np.arange(n), tstars] += gaps
     return out
 
 
 def raw_logits(pos_key: int, ctx_key: int, c: float, vocab: int,
-               tstar: int, gap: float) -> np.ndarray:
+               tstar: int, gap: float,
+               noise: Optional[np.ndarray] = None) -> np.ndarray:
     """Deterministic base logits: hashed noise plus a gap on the target token.
 
     The one-row case of ``raw_logits_rows``: the same noise helper on
     scalar keys and 1-D buffers, with a scalar gap add, so a one-row query
-    builds no index arrays.
+    builds no index arrays. ``noise``, one row of ``raw_logits_rows``'s
+    position noise, is taken over as the output as there.
     """
-    out = np.empty(vocab)
+    out = np.empty(vocab) if noise is None else noise
     z = np.empty(vocab, dtype=np.uint64)
-    _noise_into(out, _U(pos_key), _U(ctx_key), c, z, np.empty_like(z))
+    _noise_into(out, None if noise is not None else _U(pos_key), _U(ctx_key),
+                c, z, np.empty_like(z))
     out[tstar] += gap
     return out

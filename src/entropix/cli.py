@@ -280,19 +280,25 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("generate", help="run one decode and write artifacts")
     p.add_argument("config")
-    p = sub.add_parser("sweep", help="rerun a config over parameter values")
-    p.add_argument("config")
-    p.add_argument("param")
-    p.add_argument("values", help="comma-separated list, e.g. 1,2,3")
+    sweep = sub.add_parser("sweep",
+                           help="rerun a config over parameter values")
+    sweep.add_argument("config")
+    sweep.add_argument("param")
+    # REMAINDER takes a list that reads as an option ("-1e-3", "-1,2") as
+    # the value it is; exactly one list is allowed
+    sweep.add_argument("values", nargs=argparse.REMAINDER,
+                       help="comma-separated list, e.g. 1,2,3")
     p = sub.add_parser("entropy-map", help="write the entropy map only")
     p.add_argument("config")
     args = parser.parse_args(argv)
+    if args.command == "sweep" and len(args.values) != 1:
+        sweep.error("expected one comma-separated list of values")
 
     try:
         if args.command == "generate":
             return cmd_generate(args.config)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.param, args.values)
+            return cmd_sweep(args.config, args.param, args.values[0])
         if args.command == "entropy-map":
             return cmd_entropy_map(args.config)
     except ConfigSyntaxError as exc:

@@ -5,11 +5,12 @@ the entropy of the guided distribution, pick its temperature and build the
 distribution to draw from. Every decoder calls it.
 """
 
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from entropix import dist
+from entropix._kernels_py import _BLOCK_ELEMS
 from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
 from entropix.temperature import TempParams, pipeline_probs
@@ -18,7 +19,8 @@ from entropix.temperature import TempParams, pipeline_probs
 def score(oracle: Oracle, positions, digests, tp: TempParams,
           top_k: Optional[int] = None, top_p: Optional[float] = None,
           cfg_scale: float = 1.0, kappas=None,
-          adjust_temperature: Optional[Callable] = None):
+          adjust_temperature: Optional[Callable] = None,
+          noise: Tuple = (None, None)):
     """(probs, entropy, applied temperature) of positions conditioned on
     their prefix digests; the unconditional query runs only under guidance.
 
@@ -26,17 +28,35 @@ def score(oracle: Oracle, positions, digests, tp: TempParams,
     one row per position. A single int position, digest and kappa is the
     one-row case: the one-row query (``Oracle.logits_from_digest``) and the
     1-D pipeline, returning a probability vector and two scalars.
+    ``noise`` is the (conditional, unconditional) ``Oracle.position_noise``
+    of the positions, or None for either query to hash its own; the
+    queries consume it.
     """
     if isinstance(positions, (int, np.integer)):
         query = oracle.logits_from_digest
     else:
         query = oracle.logits_rows
-    logits = query(positions, digests, True, kappas)
+    logits = query(positions, digests, True, kappas, noise[0])
     uncond = None
     if cfg_scale != 1.0:
-        uncond = query(positions, digests, False, kappas)
+        uncond = query(positions, digests, False, kappas, noise[1])
     return pipeline_probs(logits, uncond, cfg_scale, tp, top_k, top_p,
                           adjust_temperature)
+
+
+def _position_noise_rows(oracle: Oracle, length: int,
+                         guided: bool) -> Iterator[Tuple]:
+    """(conditional, unconditional) position noise of positions 0, 1, ...,
+    length - 1, one pair of rows each; the unconditional row is None
+    without guidance. It is hashed a chunk of about ``_BLOCK_ELEMS`` values
+    at a time, so the decoder holds one chunk, not the whole sequence."""
+    chunk = max(1, _BLOCK_ELEMS // oracle.cfg.vocab)
+    for start in range(0, length, chunk):
+        span = np.arange(start, min(start + chunk, length))
+        cond = oracle.position_noise(span, True)
+        uncond = oracle.position_noise(span, False) if guided \
+            else [None] * len(span)
+        yield from zip(cond, uncond)
 
 
 def next_token_generate(oracle: Oracle, length: int, block: int,
@@ -50,7 +70,10 @@ def next_token_generate(oracle: Oracle, length: int, block: int,
     are scored ``block`` at a time in one query each, with one uniform per
     position in order, as the one-at-a-time draws take them. Otherwise each
     token conditions on the prefix before it, whose digest grows by one
-    pair per token instead of being refolded.
+    pair per token instead of being refolded. Only the context half of a
+    row depends on that prefix: the position half is hashed in batches of
+    about ``_BLOCK_ELEMS`` values (512 positions at V = 64) ahead of the
+    one-row queries, which add the context term and the gap to it.
     """
     tokens: List[int] = []
     eps_list: List[float] = []
@@ -66,9 +89,10 @@ def next_token_generate(oracle: Oracle, length: int, block: int,
             temps.extend(t.tolist())
         return tokens, eps_list, temps
     running = RunningDigest()
-    for pos in range(length):
+    noise_rows = _position_noise_rows(oracle, length, cfg_scale != 1.0)
+    for pos, noise in zip(range(length), noise_rows):
         probs, eps, t = score(oracle, pos, running.digest(), tp, top_k, top_p,
-                              cfg_scale)
+                              cfg_scale, noise=noise)
         token = dist.sample_categorical(probs, rng)
         running.append((token,), (pos,))
         tokens.append(token)

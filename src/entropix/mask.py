@@ -116,9 +116,13 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
 
     Each step scores all open positions in one batch (``decode.score``);
     they share the digest of the frozen grid, which a ``RunningDigest``
-    keeps by appending each step's newly accepted pairs. It then draws 2
-    uniforms per open position in row-major order: the token's inverse-CDF
-    uniform, then its Gumbel uniform.
+    keeps by appending each step's newly accepted pairs. Only the context
+    half of a logits row depends on that digest: the position half of
+    every grid position is hashed once, before the first step
+    (``Oracle.position_noise``, conditional and, under guidance,
+    unconditional), and each step's queries take the open rows of it. It
+    then draws 2 uniforms per open position in row-major order: the
+    token's inverse-CDF uniform, then its Gumbel uniform.
 
     Returns (token grid, entropy map recorded at each position's acceptance
     step, list of MaskState snapshots, applied-temperature list).
@@ -131,12 +135,18 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     temps: List[float] = []
     history = [state]
     running = RunningDigest()  # the accepted (token, position) pairs
+    grid = np.arange(h * w)
+    noise = (oracle.position_noise(grid, True),
+             oracle.position_noise(grid, False) if cfg_scale != 1.0 else None)
     for k_t in schedule.counts:
         open_pos = np.flatnonzero(~state.accepted.reshape(-1))
         n = open_pos.shape[0]
-        # the conditioning digest is shared by every open position this step
+        # the conditioning digest is shared by every open position this
+        # step; the gathered noise rows are fresh arrays the queries consume
         probs, eps, t = score(oracle, open_pos, [running.digest()] * n, tp,
-                              top_k, top_p, cfg_scale)
+                              top_k, top_p, cfg_scale,
+                              noise=tuple(None if a is None else a[open_pos]
+                                          for a in noise))
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
         drafted = dist.sample_rows(probs, u[:, 0])
         conf = np.full(h * w, -np.inf)

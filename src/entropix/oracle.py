@@ -141,32 +141,62 @@ class Oracle:
 
     def logits_from_digest(self, linear_pos: int, digest: int,
                            conditional: bool = True,
-                           kappa: Optional[float] = None) -> np.ndarray:
+                           kappa: Optional[float] = None,
+                           noise: Optional[np.ndarray] = None) -> np.ndarray:
         """As logits_at, but with the conditioning digest precomputed.
 
         This is the one-row case of ``logits_rows``, run by the one-row
         kernel ``raw_logits``; decoders that score several positions at once
-        call the batched query instead.
+        call the batched query instead. ``noise`` is this position's row of
+        ``position_noise``, consumed as the output.
         """
         pk, ctx, tstar, gap = self._row_args(linear_pos, digest, conditional,
                                              kappa)
         return _kernels_py.raw_logits(pk, ctx, self.cfg.context_sensitivity,
-                                      self.cfg.vocab, tstar, gap)
+                                      self.cfg.vocab, tstar, gap, noise)
+
+    def _pos_keys(self, pos: np.ndarray, conditional: bool) -> np.ndarray:
+        """``_pos_key`` of every position of an int64 array, in array
+        arithmetic."""
+        U, mix = np.uint64, _kernels_py._mix64_vec
+        pk = mix(U(self.cfg.seed & _kernels_py.MASK64)
+                 ^ mix(pos.astype(U) * U(POS_SALT)))
+        if not conditional:
+            pk = mix(pk ^ U(UNCOND_SALT))
+        return pk
+
+    def position_noise(self, positions: Sequence[int],
+                       conditional: bool = True) -> np.ndarray:
+        """[N, V] prefix-independent half of the logits rows of
+        ``positions``: ``(1 - c) * u`` of each position key.
+
+        Passed back as ``noise`` to ``logits_rows`` (or a row of it to
+        ``logits_from_digest``), it saves that query the position hash; the
+        query writes its logits over it, so each array serves one query.
+        """
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.shape[0] and pos.min() < 0:
+            raise ValueError("position out of range")
+        return _kernels_py.raw_logits_rows(
+            self._pos_keys(pos, conditional), None,
+            self.cfg.context_sensitivity, self.cfg.vocab)
 
     def logits_rows(self, positions: Sequence[int], digests: Sequence[int],
                     conditional: bool = True,
-                    kappas: Optional[Sequence[float]] = None) -> np.ndarray:
+                    kappas: Optional[Sequence[float]] = None,
+                    noise: Optional[np.ndarray] = None) -> np.ndarray:
         """[N, V] logits in one query: row n is position ``positions[n]``
         conditioned on the prefix digest ``digests[n]``.
 
         A decode step that scores many positions (every open mask position,
         every Jacobi window slot, every position of a scale) makes this
         single call, as one forward pass would. ``kappas`` overrides the
-        profile lookup per row. Every row's position key, context key,
-        target and gap are derived with array operations: the wrapping
-        64-bit arithmetic that ``_row_args`` does on Python ints for the
-        one-row query. ``raw_logits_rows`` is bit-identical to
-        ``raw_logits``, so row n equals
+        profile lookup per row; ``noise``, the ``position_noise`` of the
+        same positions and query kind, is consumed as the output. Every
+        row's position key, context key, target and gap are derived with
+        array operations: the wrapping 64-bit arithmetic that ``_row_args``
+        does on Python ints for the one-row query. ``raw_logits_rows`` is
+        bit-identical to ``raw_logits``, so row n equals
         ``logits_from_digest(positions[n], digests[n])``.
         """
         cfg = self.cfg
@@ -176,18 +206,17 @@ class Oracle:
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
+        if noise is not None and noise.shape != (n, cfg.vocab):
+            raise ValueError("noise must have one row per position")
         if n and pos.min() < 0:
             raise ValueError("position out of range")
-        U, mix = np.uint64, _kernels_py._mix64_vec
-        pk = mix(U(cfg.seed & _kernels_py.MASK64)
-                 ^ mix(pos.astype(U) * U(POS_SALT)))
-        if not conditional:
-            pk = mix(pk ^ U(UNCOND_SALT))
-        ctx = mix(pk ^ np.asarray(digests, dtype=U)) \
+        U = np.uint64
+        pk = self._pos_keys(pos, conditional)
+        ctx = _kernels_py._mix64_vec(pk ^ np.asarray(digests, dtype=U)) \
             if cfg.context_sensitivity != 0.0 else None
         if kappas is None:
             kappas = self._kappa_flat[pos % self._n]
         gaps = GAP_MAX * np.asarray(kappas, dtype=np.float64)
         return _kernels_py.raw_logits_rows(
             pk, ctx, cfg.context_sensitivity, cfg.vocab, pk % U(cfg.vocab),
-            gaps)
+            gaps, noise)

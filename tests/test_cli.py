@@ -241,8 +241,9 @@ out_dir = {os.path.join(d, 'out')}
             try:
                 code = main(["sweep", path, param, ",".join(values)])
             except SystemExit as exc:
-                # argparse's usage error (a value such as "-1e-3" reads as
-                # an option) or --help
+                # argparse's usage error or --help: only a junk parameter
+                # name such as "-x" reads as an option
+                assert param.startswith("-")
                 code = exc.code
             assert code in (0, 2, 3)
 
@@ -389,6 +390,23 @@ class TestSweep:
         assert main(["sweep", base_config(tmp_path), "K", values]) == 3
         assert "bad sweep values" in capsys.readouterr().err
         assert not os.path.exists(artifact(tmp_path, "sweep.csv"))
+
+    @pytest.mark.parametrize("values", ["-1e-3", "-1,2", "-1"])
+    def test_values_starting_with_minus_reach_the_sweep(self, tmp_path,
+                                                        capsys, values):
+        # argparse used to read "-1e-3" and "-1,2" as options and exit 2
+        # with a usage error; like T0 = -1e-3 in a config, they are invalid
+        # parameters
+        assert main(["sweep", base_config(tmp_path), "T0", values]) == 3
+        assert "invalid parameters" in capsys.readouterr().err
+        assert not os.path.exists(artifact(tmp_path, "sweep.csv"))
+
+    @pytest.mark.parametrize("extra", [[], ["1", "2"]])
+    def test_one_value_list_required(self, tmp_path, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", base_config(tmp_path), "T0", *extra])
+        assert exc.value.code == 2
+        assert "one comma-separated list" in capsys.readouterr().err
 
     def test_integer_parameter_accepts_integral_float(self, tmp_path, capsys):
         assert main(["sweep", base_config(tmp_path), "K", "8.0,3"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from functools import partial
 
@@ -5,12 +6,19 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from entropix.decode import score
-from entropix.oracle import Oracle, OracleConfig
+from entropix import _kernels_py
+from entropix.decode import next_token_generate, score
+from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_temperature
 from entropix.speculative import BASELINE, SpecAcceptParams, jacobi_decode
 from entropix.temperature import TempParams, pipeline_probs, preset
+
+
+def float_digest(values):
+    """Short SHA-256 of the exact float64 bytes, for bit-level goldens."""
+    raw = np.asarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
 
 
 class CountingOracle:
@@ -23,13 +31,17 @@ class CountingOracle:
     def _count(self, conditional):
         self.uncond += not conditional
 
-    def logits_from_digest(self, pos, digest, conditional=True, kappa=None):
+    def logits_from_digest(self, pos, digest, conditional=True, kappa=None,
+                           noise=None):
         self._count(conditional)
-        return self.oracle.logits_from_digest(pos, digest, conditional, kappa)
+        return self.oracle.logits_from_digest(pos, digest, conditional, kappa,
+                                              noise)
 
-    def logits_rows(self, positions, digests, conditional=True, kappas=None):
+    def logits_rows(self, positions, digests, conditional=True, kappas=None,
+                    noise=None):
         self._count(conditional)
-        return self.oracle.logits_rows(positions, digests, conditional, kappas)
+        return self.oracle.logits_rows(positions, digests, conditional, kappas,
+                                       noise)
 
 
 class TestScore:
@@ -117,3 +129,25 @@ class TestJacobiExactLaw:
         observed = np.append(counts[common], counts[~common].sum())
         expected = np.append(expected[common], expected[~common].sum())
         assert sstats.chisquare(observed, expected).pvalue > 1e-3
+
+
+class TestNextTokenLongGolden:
+    def test_golden_across_noise_chunks(self):
+        # 2 * 512 + 3 tokens at V = 64 cross two chunks of the position
+        # noise and wrap the 256-position grid four times, with guidance
+        # and context. Recorded (tokens as float64 bytes) at commit
+        # 24e9c0a, whose one-row query hashed the whole row itself.
+        length = 2 * 512 + 3
+        assert length > 2 * (_kernels_py._BLOCK_ELEMS // 64)
+        oracle = Oracle(OracleConfig(
+            vocab=64, shape=(16, 16),
+            profile=profile_rect((16, 16), 0.9, 0.1, (4, 4, 8, 8)), seed=7,
+            context_sensitivity=0.5))
+        tokens, eps, temps = next_token_generate(
+            oracle, length, 256, preset("llamagen"), RngStream(9), top_k=16,
+            cfg_scale=1.5)
+        assert len(tokens) == length
+        assert tokens[:8] == [39, 20, 4, 30, 0, 56, 62, 58]
+        assert float_digest(tokens) == "40eae20490566be9"
+        assert float_digest(eps) == "225cb8a00efc18c8"
+        assert float_digest(temps) == "2b5320e04274bd09"

@@ -194,3 +194,33 @@ class TestRawLogitsMatchesReference:
         want = ref_raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(st.integers(1, 200),
+           st.sampled_from(["none", "one", "block", "blocks"]),
+           st.one_of(st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0)),
+                                      5e-324])),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(64, "blocks", 5e-324, 0)
+    @example(97, "block", float(np.nextafter(1.0, 0.0)), 1)
+    def test_position_noise_path(self, vocab, size, c, seed):
+        # the position noise from the kernel called with no context keys and
+        # no gaps, handed back, gives every row bit for bit, in place
+        b = k._BLOCK_ELEMS // vocab
+        n = {"none": 0, "one": 1, "block": b, "blocks": 2 * b + 3}[size]
+        rng = np.random.default_rng(seed)
+        pk, ctx, tstars, gaps = row_inputs(rng, n, vocab)
+        want = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
+        noise = k.raw_logits_rows(pk, None, c, vocab)
+        got = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps, noise)
+        assert got is noise
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        noise = k.raw_logits_rows(pk, None, c, vocab)
+        for i in sorted({0, n // 2, n - 1} & set(range(n))):
+            args = (int(pk[i]), int(ctx[i]), c, vocab, int(tstars[i]),
+                    float(gaps[i]))
+            row = k.raw_logits(*args, noise[i])
+            assert np.shares_memory(row, noise[i])
+            assert np.array_equal(row.view(np.int64),
+                                  k.raw_logits(*args).view(np.int64))

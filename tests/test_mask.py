@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
-from entropix import mask
+from entropix import _kernels_py, mask
 from entropix.mask import (MaskState, StepSchedule, confidence_rows,
                            cosine_schedule, mask_generate, update_mask)
 from entropix.oracle import Oracle, OracleConfig, mask_token, profile_rect
@@ -112,6 +114,29 @@ class TestUpdateMask:
             update_mask(conf, state, 5)
         with pytest.raises(ValueError):
             update_mask(conf, state, 0)
+
+
+class TestSelectionLaw:
+    def test_gumbel_top_k_law(self):
+        # At T = 1 the k highest of log p + g, g ~ Gumbel(0, 1), are k draws
+        # without replacement with chance proportional to p (Kool et al.
+        # 2019): the ordered pair (a, b) has chance p_a / S * p_b / (S - p_a).
+        p = np.array([0.5, 0.3, 0.15, 0.05])
+        trials, k = 20000, 2
+        pairs = list(itertools.combinations(range(4), k))
+        total = p.sum()
+        law = np.array([sum(p[a] / total * p[b] / (total - p[a])
+                            for a, b in (pair, pair[::-1]))
+                        for pair in pairs])
+        index = {pair: n for n, pair in enumerate(pairs)}
+        counts = np.zeros(len(pairs))
+        u = RngStream(0).uniforms(4 * trials).reshape(trials, 4)
+        ones, initial = np.ones(4), MaskState.initial((2, 2))
+        for row in u:
+            conf = confidence_rows(p, ones, row).reshape(2, 2)
+            chosen = np.flatnonzero(update_mask(conf, initial, k).accepted)
+            counts[index[tuple(chosen)]] += 1
+        assert sstats.chisquare(counts, law * trials).pvalue > 1e-3
 
 
 class TestCosineSchedule:
@@ -286,3 +311,22 @@ class TestMaskGolden:
         assert float_digest(temps) == temp_digest
         assert len(temps) == sum(64 - int(h.accepted.sum())
                                  for h in hist[:-1])
+
+    def test_golden_grid_over_one_block(self):
+        # 576 positions at V = 64: the grid's position noise spans two
+        # blocks of the kernel, with guidance and context. Recorded (grid
+        # as float64 bytes) at commit 24e9c0a, whose step queries hashed
+        # every open row whole.
+        assert 24 * 24 > _kernels_py._BLOCK_ELEMS // 64
+        oracle = Oracle(OracleConfig(
+            vocab=64, shape=(24, 24),
+            profile=profile_rect((24, 24), 0.9, 0.1, (6, 6, 12, 12)),
+            seed=11, context_sensitivity=0.5))
+        grid, emap, hist, temps = mask_generate(
+            oracle, (24, 24), cosine_schedule(576, 8), preset("llamagen"),
+            RngStream(5), top_p=0.8, cfg_scale=1.5)
+        assert grid[0, :8].tolist() == [23, 60, 63, 23, 39, 18, 51, 2]
+        assert float_digest(grid) == "83a923f60f35f66c"
+        assert float_digest(emap) == "7d8bab4b07a04ab1"
+        assert float_digest(temps) == "95c4aeeaa6ce7e3b"
+        assert len(temps) == 3211
