@@ -14,11 +14,24 @@ would go on memory rather than arithmetic.
 A row's noise is ``(1 - c) * H(position key) + c * H(context key)``, and
 only the context key depends on the prefix. ``raw_logits_rows`` called with
 no context keys and no gaps returns the first half alone, the position
-noise; both kernels take it back as ``noise``, skip the position hash and
-add the context term and the gap in the usual order, so the row is the
-same bit for bit. Mask decoding hashes the position noise of the whole
-grid once and reuses it at every step; next-token decoding under context
+noise; both kernels take it back as ``noise``, read-only: they start each
+row from it, skip the position hash and add the context term and the gap
+in the usual order, so the row is the same bit for bit. The batched kernel
+gathers each block's rows of it (``noise_rows``) into its output itself.
+Mask decoding hashes the position noise of the whole grid once and reads
+the open rows of it at every step; next-token decoding under context
 hashes it a block of positions at a time and passes one row per call.
+
+Turning a hash into a float is the kernel's slow lane: numpy casts uint64
+to float64 at about 7 ns a value on a 32,768-value block, against 1 ns for
+an int64 cast and 2.8 ns for the whole splitmix64 mix (BENCH_12), and it
+does so twice per row. ``_u64_to_f64`` builds the same double from the
+hash's two 32-bit halves with integer and float operations that stay on
+fast lanes, about 1.9 ns a value, and rounds once, as the cast does. Its six array
+operations cost more than the cast on a small block, so a block
+is split only from ``_SPLIT_MIN_ELEMS`` values (64 rows at V = 64) up, the
+crossover ``benchmarks/bench_numpy_lanes.py`` measured; smaller blocks (a
+Jacobi window, the one-row kernel) keep the cast.
 
 ``RunningDigest`` is the one running form of the conditioning fold
 ``prefix_fold``: every decoder keeps its prefix digest in one, appending the
@@ -43,12 +56,20 @@ FOLD_INIT = 0x243F6A8885A308D3
 
 _INV_2_64 = 2.0 ** -64
 _BLOCK_ELEMS = 1 << 15  # per scratch buffer: 256 KiB of 64-bit values
+# the smallest block, in values, that converts uint64 to float64 from its
+# two halves rather than by numpy's cast (BENCH_12.json, "numpy_lanes")
+_SPLIT_MIN_ELEMS = 1 << 12
 
 _U = np.uint64
 _GOLDEN_U, _M1_U, _M2_U = _U(GOLDEN), _U(MIX_M1), _U(MIX_M2)
 _S27, _S30, _S31 = _U(27), _U(30), _U(31)
 _TOK_SALT_U, _CTX_SALT_U = _U(TOK_SALT), _U(CTX_SALT)
 _FOLD_TOK_U, _FOLD_IDX_U = _U(FOLD_TOK), _U(FOLD_IDX)
+_S32, _LOW32 = _U(32), _U(0xFFFFFFFF)
+# the bit patterns of 2^84 and 2^52: OR-ed onto a 32-bit half, they give
+# the doubles 2^84 + half * 2^32 and 2^52 + half
+_EXP84, _EXP52 = _U(0x4530000000000000), _U(0x4330000000000000)
+_SPLIT_BIAS = 2.0 ** 84 + 2.0 ** 52
 
 
 def mix64(z: int) -> int:
@@ -71,6 +92,27 @@ def _mix64_into(z: np.ndarray, t: np.ndarray) -> None:
     z *= _M2_U
     np.right_shift(z, _S31, out=t)
     z ^= t
+
+
+def _u64_to_f64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """float64 of each value of the uint64 array z, bit for bit as numpy's
+    cast, returned as a float view of t; t is uint64 scratch of z's shape,
+    and z is overwritten.
+
+    z = hi * 2^32 + lo with 32-bit halves. The doubles 2^84 + hi * 2^32 and
+    2^52 + lo are exact and built by OR-ing each half onto an exponent's
+    bit pattern; subtracting 2^84 + 2^52 from the first is exact too, and
+    adding the second rounds the true value z once, to nearest even, as the
+    cast does.
+    """
+    np.right_shift(z, _S32, out=t)
+    t |= _EXP84
+    z &= _LOW32
+    z |= _EXP52
+    f = t.view(np.float64)
+    f -= _SPLIT_BIAS
+    f += z.view(np.float64)
+    return f
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
@@ -161,20 +203,32 @@ def _noise_into(out: np.ndarray, pos_keys, ctx_keys, c: float,
         # (1 - c) * 2^-64 is exact for every c in [0, 1], so one multiply
         # gives (1 - c) * u; c * 2^-64 is subnormal for c below 2^-958, so
         # the context term keeps its two multiplies
-        np.multiply(z, (1.0 - c) * _INV_2_64, out=out)
+        _scaled_into(out, z, t, (1.0 - c) * _INV_2_64)
     if c != 0.0 and ctx_keys is not None:
         np.add(ctx_keys, ctx, out=z)
         _mix64_into(z, t)
         u2 = t.view(np.float64)  # t is free again: reuse it for floats
-        np.multiply(z, _INV_2_64, out=u2)
+        _scaled_into(u2, z, t, _INV_2_64)
         u2 *= c
         out += u2
+
+
+def _scaled_into(out: np.ndarray, z: np.ndarray, t: np.ndarray,
+                 scale: float) -> None:
+    """out = float64(z) * scale for the uint64 array z, by numpy's cast on
+    a small block and by ``_u64_to_f64`` from ``_SPLIT_MIN_ELEMS`` values
+    up; z and t are overwritten, and out may be t's float view."""
+    if z.size < _SPLIT_MIN_ELEMS:
+        np.multiply(z, scale, out=out)
+    else:
+        np.multiply(_u64_to_f64(z, t), scale, out=out)
 
 
 def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
                     c: float, vocab: int, tstars: Optional[np.ndarray] = None,
                     gaps: Optional[np.ndarray] = None,
-                    noise: Optional[np.ndarray] = None) -> np.ndarray:
+                    noise: Optional[np.ndarray] = None,
+                    noise_rows: Optional[np.ndarray] = None) -> np.ndarray:
     """[N, V] base logits; row n is raw_logits for the n-th key, target and
     gap. ``ctx_keys`` is unused at c = 0.
 
@@ -185,17 +239,23 @@ def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
     elementwise, so a row equals the single-row result bit for bit.
 
     With no ``ctx_keys`` and no ``gaps`` the result is the position noise
-    ``(1 - c) * u`` alone. Passed back as ``noise`` (float64 [N, V]), it
-    becomes the output, overwritten in place: the position hash is skipped
-    and only the context term and the gaps are added.
+    ``(1 - c) * u`` alone. Passed back as ``noise`` (float64 [M, V]) with
+    ``noise_rows`` (N valid indices into it), it is read, never written:
+    each block gathers its rows ``noise[noise_rows[lo:hi]]`` into the
+    output, the position hash is skipped and only the context term and the
+    gaps are added.
     """
     n = pos_keys.shape[0]
-    out = np.empty((n, vocab)) if noise is None else noise
+    out = np.empty((n, vocab))
     rows = max(1, _BLOCK_ELEMS // vocab)
     z = np.empty((min(n, rows), vocab), dtype=np.uint64)
     t = np.empty_like(z)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
+        if noise is not None:
+            # "clip" writes straight into out; the caller checks the rows
+            np.take(noise, noise_rows[lo:hi], axis=0, out=out[lo:hi],
+                    mode="clip")
         _noise_into(out[lo:hi],
                     None if noise is not None else pos_keys[lo:hi, None],
                     None if ctx_keys is None else ctx_keys[lo:hi, None],
@@ -213,9 +273,9 @@ def raw_logits(pos_key: int, ctx_key: int, c: float, vocab: int,
     The one-row case of ``raw_logits_rows``: the same noise helper on
     scalar keys and 1-D buffers, with a scalar gap add, so a one-row query
     builds no index arrays. ``noise``, one row of ``raw_logits_rows``'s
-    position noise, is taken over as the output as there.
+    position noise, is read as there: the row starts from a copy of it.
     """
-    out = np.empty(vocab) if noise is None else noise
+    out = np.empty(vocab) if noise is None else noise.copy()
     z = np.empty(vocab, dtype=np.uint64)
     _noise_into(out, None if noise is not None else _U(pos_key), _U(ctx_key),
                 c, z, np.empty_like(z))

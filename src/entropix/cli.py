@@ -177,15 +177,17 @@ def write_artifacts(cfg: RunConfig, res: RunResult, out_dir: str,
                     maps_only: bool = False) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "entropy.csv"), "w", newline="\n") as f:
-        for row in res.entropy_map:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        # Python floats and ints from tolist() format faster than numpy
+        # scalars, to the same text
+        for row in res.entropy_map.tolist():
+            f.write(",".join([f"{v:.17g}" for v in row]) + "\n")
     pixels = pgm.entropy_to_pixels(res.entropy_map, cfg.vocab)
     pgm.write_pgm(os.path.join(out_dir, "entropy.pgm"), pixels)
     if maps_only:
         return
     with open(os.path.join(out_dir, "tokens.csv"), "w", newline="\n") as f:
-        for row in res.tokens:
-            f.write(",".join(str(int(v)) for v in row) + "\n")
+        for row in res.tokens.tolist():
+            f.write(",".join(map(str, row)) + "\n")
     row = report_row(cfg, res)
     write_csv(os.path.join(out_dir, "report.csv"), list(row), [row])
     if res.scale_mean_entropy is not None:

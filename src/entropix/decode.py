@@ -29,8 +29,8 @@ def score(oracle: Oracle, positions, digests, tp: TempParams,
     one-row case: the one-row query (``Oracle.logits_from_digest``) and the
     1-D pipeline, returning a probability vector and two scalars.
     ``noise`` is the (conditional, unconditional) ``Oracle.position_noise``
-    of the positions, or None for either query to hash its own; the
-    queries consume it.
+    the queries read (a row for a one-row query, a table indexed by
+    position for a batched one), or None for either query to hash its own.
     """
     if isinstance(positions, (int, np.integer)):
         query = oracle.logits_from_digest

@@ -14,6 +14,20 @@ that brings the descending cumulative mass to p. The row keeps the entries
 at or above the cut. Where more entries tie at the cut than places are
 left, the lower indices win, exactly as in a stable ranking; only such rows
 do extra work.
+
+``np.exp`` has slow lanes, and a softmax at a low temperature lives in
+them. Where the result is subnormal (inputs from about -708 down to
+-745.13) a lane costs 130-215 ns, against about 1.2 ns for a normal
+result; where it underflows to 0 it costs about 20 ns, and at -inf about
+7 ns (BENCH_12).
+At scale decoding's floor temperature most lanes of a row fall there. So
+the softmax of an [N, V] stack exponentiates lanes clamped at
+``_EXP_FAST_MIN`` (-700, still fast; -708 is not), writes 0 below
+``_EXP_ZERO_BELOW`` (-746, past the last input whose exp rounds above 0)
+and recomputes the few lanes between the two with ``np.exp`` alone, so
+every value is np.exp's own. A 1-D row keeps plain ``np.exp``: there the
+extra passes cost more than they save. ``top_p_softmax`` exponentiates
+once where top-p followed by softmax would exponentiate twice.
 """
 
 import numpy as np
@@ -26,6 +40,11 @@ PROB_SUM_TOL = 1e-9
 
 GUMBEL_CLIP = 1e-12
 
+# np.exp's fast lanes end near -708 (see the module docstring); bounds
+# measured by benchmarks/bench_numpy_lanes.py (BENCH_12.json, "numpy_lanes")
+_EXP_FAST_MIN = -700.0  # every input from here up stays on the fast path
+_EXP_ZERO_BELOW = -746.0  # exp is exactly 0 below this (2^-1075 at -745.13)
+
 
 def as_logits(values) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
@@ -34,9 +53,33 @@ def as_logits(values) -> np.ndarray:
     return a
 
 
-def softmax(logits) -> np.ndarray:
-    """Stabilized softmax; EXCLUDED entries get probability exactly 0."""
-    a = as_logits(logits)
+def _exp_stack(x: np.ndarray) -> None:
+    """np.exp of every value of x, in place, bit for bit, with every lane on
+    np.exp's fast path.
+
+    Lanes below ``_EXP_FAST_MIN`` run from the floor, and are then set: to
+    0 below ``_EXP_ZERO_BELOW``, where exp is exactly 0, and to np.exp of
+    their own value between the two bounds, a band that is computed alone.
+    NaN and -inf lanes fall through the comparisons and the clamp as
+    np.exp would take them (-inf counts as low and becomes 0).
+    """
+    low = x < _EXP_FAST_MIN
+    if not low.any():
+        np.exp(x, out=x)
+        return
+    band = np.flatnonzero(low & (x >= _EXP_ZERO_BELOW))
+    flat = x.reshape(-1)
+    exact = np.exp(flat[band])
+    np.maximum(x, _EXP_FAST_MIN, out=x)  # NaN stays NaN
+    np.exp(x, out=x)
+    x *= np.logical_not(low, out=low)  # a multiply by 0 or 1, not a scatter
+    flat[band] = exact
+
+
+def _shifted_exp(a: np.ndarray):
+    """(exp(a - row max), its sum along the last axis, the row max):
+    softmax before the division. A 1-D row runs np.exp as it is; a stack
+    runs ``_exp_stack``."""
     # a 1-D input reduces to numpy scalars, which cost less per operation
     # than one-element arrays; a stack keeps the axis to broadcast per row.
     # The ufunc reductions are what max() and sum() run, minus a wrapper.
@@ -48,8 +91,17 @@ def softmax(logits) -> np.ndarray:
     # in place on one fresh array: a large stack then pays for a single
     # allocation rather than three
     e = np.subtract(a, m)
-    np.exp(e, out=e)  # EXCLUDED -> exp(-inf) = 0
-    e /= np.add.reduce(e, axis=-1, keepdims=rows)
+    if rows:
+        _exp_stack(e)
+    else:
+        np.exp(e, out=e)  # EXCLUDED -> exp(-inf) = 0
+    return e, np.add.reduce(e, axis=-1, keepdims=rows), m
+
+
+def softmax(logits) -> np.ndarray:
+    """Stabilized softmax; EXCLUDED entries get probability exactly 0."""
+    e, total, _ = _shifted_exp(as_logits(logits))
+    e /= total
     return e
 
 
@@ -104,9 +156,9 @@ def rescale_logits(logits, temperature) -> np.ndarray:
     return as_logits(logits) / t  # EXCLUDED stays -inf
 
 
-def _keep_highest(a, score, ranked, n_keep) -> np.ndarray:
-    """Keep the n_keep highest-scoring entries of each row of ``a`` and
-    exclude the rest; ties at the cut keep the lower index.
+def _keep_highest(score, ranked, n_keep) -> np.ndarray:
+    """The mask of the n_keep highest-scoring entries of each row; ties at
+    the cut keep the lower index.
 
     ``ranked`` is ``score`` sorted ascending along the last axis, and
     ``n_keep`` is in [1, V]: a scalar, or one per row. The cut is the row's
@@ -117,16 +169,16 @@ def _keep_highest(a, score, ranked, n_keep) -> np.ndarray:
     that. (Where n_keep = V, "just below" wraps to the highest score; the
     row keeps every entry and drops none.)
     """
-    i = a.shape[-1] - n_keep  # the cut's place in the ascending order
-    if a.ndim == 1:
+    i = score.shape[-1] - n_keep  # the cut's place in the ascending order
+    if score.ndim == 1:
         cut = ranked[i]
         keep = score >= cut
         if ranked[i - 1] == cut:
             tied = score == cut
             excess = np.count_nonzero(keep) - n_keep
             keep ^= tied & (tied.cumsum() > tied.sum() - excess)
-        return np.where(keep, a, EXCLUDED)
-    rows = np.arange(a.shape[0])
+        return keep
+    rows = np.arange(score.shape[0])
     cut = ranked[rows, i][:, None]
     keep = score >= cut
     over = np.flatnonzero(ranked[rows, i - 1] == cut[:, 0])
@@ -137,7 +189,7 @@ def _keep_highest(a, score, ranked, n_keep) -> np.ndarray:
         keep[over] ^= tied & (tied.cumsum(axis=-1)
                               > tied.sum(axis=-1, keepdims=True)
                               - excess[:, None])
-    return np.where(keep, a, EXCLUDED)
+    return keep
 
 
 def top_k_filter(logits, k: int) -> np.ndarray:
@@ -150,7 +202,7 @@ def top_k_filter(logits, k: int) -> np.ndarray:
         raise ValueError("top-k requires k >= 1")
     if k >= a.shape[-1]:
         return a.copy()
-    return _keep_highest(a, a, np.sort(a, axis=-1), k)
+    return np.where(_keep_highest(a, np.sort(a, axis=-1), k), a, EXCLUDED)
 
 
 def top_p_filter(logits, p: float) -> np.ndarray:
@@ -162,18 +214,57 @@ def top_p_filter(logits, p: float) -> np.ndarray:
     cut.
     """
     a = as_logits(logits)
-    if not 0.0 < p <= 1.0:
-        raise ValueError("top-p requires p in (0, 1]")
+    _check_top_p(p)
     if p == 1.0:
         return a.copy()
-    q = softmax(a)
+    return np.where(_top_p_keep(a, p)[0], a, EXCLUDED)
+
+
+def top_p_softmax(logits, p: float) -> np.ndarray:
+    """softmax(top_p_filter(logits, p)), bit for bit, with one
+    exponentiation instead of two.
+
+    The filtered row's softmax subtracts the highest kept logit. Where that
+    is the row's maximum, its exponentials are the kept entries of the
+    exponentials top-p ranked by, so those are summed and divided again.
+    A row whose top probabilities tie while their logits differ can lose
+    its maximum to a lower-index tie; only such a row is recomputed.
+    """
+    a = as_logits(logits)
+    _check_top_p(p)
+    if p == 1.0:
+        return softmax(a)
+    keep, e, m = _top_p_keep(a, p)
+    e *= keep
+    rows = a.ndim > 1
+    e /= np.add.reduce(e, axis=-1, keepdims=rows)
+    held = np.logical_or.reduce(keep & (a == m), axis=-1)
+    if rows:
+        stale = np.flatnonzero(~held)
+        if stale.size:
+            e[stale] = softmax(np.where(keep[stale], a[stale], EXCLUDED))
+    elif not held:
+        e = softmax(np.where(keep, a, EXCLUDED))
+    return e
+
+
+def _check_top_p(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError("top-p requires p in (0, 1]")
+
+
+def _top_p_keep(a: np.ndarray, p: float):
+    """(mask of the top-p entries, the exponentials exp(a - row max) they
+    were ranked by, the row max)."""
+    e, total, m = _shifted_exp(a)
+    q = e / total
     ranked = np.sort(q, axis=-1)
     # the cumulative mass in descending order, short of the last entry:
     # counting the sums below p is searchsorted-left, and leaving the
     # total out keeps all V where rounding leaves it below p
     cum = ranked[..., :0:-1].cumsum(axis=-1)
     n_keep = np.add.reduce(cum < p, axis=-1) + 1
-    return _keep_highest(a, q, ranked, n_keep)
+    return _keep_highest(q, ranked, n_keep), e, m
 
 
 def cfg_combine(cond, uncond, scale: float) -> np.ndarray:

@@ -120,7 +120,7 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     half of a logits row depends on that digest: the position half of
     every grid position is hashed once, before the first step
     (``Oracle.position_noise``, conditional and, under guidance,
-    unconditional), and each step's queries take the open rows of it. It
+    unconditional), and each step's queries read the open rows of it. It
     then draws 2 uniforms per open position in row-major order: the
     token's inverse-CDF uniform, then its Gumbel uniform.
 
@@ -142,11 +142,9 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
         open_pos = np.flatnonzero(~state.accepted.reshape(-1))
         n = open_pos.shape[0]
         # the conditioning digest is shared by every open position this
-        # step; the gathered noise rows are fresh arrays the queries consume
+        # step; the queries read the open rows of the grid's noise
         probs, eps, t = score(oracle, open_pos, [running.digest()] * n, tp,
-                              top_k, top_p, cfg_scale,
-                              noise=tuple(None if a is None else a[open_pos]
-                                          for a in noise))
+                              top_k, top_p, cfg_scale, noise=noise)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
         drafted = dist.sample_rows(probs, u[:, 0])
         conf = np.full(h * w, -np.inf)

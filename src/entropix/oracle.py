@@ -148,7 +148,7 @@ class Oracle:
         This is the one-row case of ``logits_rows``, run by the one-row
         kernel ``raw_logits``; decoders that score several positions at once
         call the batched query instead. ``noise`` is this position's row of
-        ``position_noise``, consumed as the output.
+        ``position_noise``, read, never written.
         """
         pk, ctx, tstar, gap = self._row_args(linear_pos, digest, conditional,
                                              kappa)
@@ -171,8 +171,8 @@ class Oracle:
         ``positions``: ``(1 - c) * u`` of each position key.
 
         Passed back as ``noise`` to ``logits_rows`` (or a row of it to
-        ``logits_from_digest``), it saves that query the position hash; the
-        query writes its logits over it, so each array serves one query.
+        ``logits_from_digest``), it saves that query the position hash. The
+        queries only read it, so one array serves any number of them.
         """
         pos = np.asarray(positions, dtype=np.int64)
         if pos.shape[0] and pos.min() < 0:
@@ -191,8 +191,10 @@ class Oracle:
         A decode step that scores many positions (every open mask position,
         every Jacobi window slot, every position of a scale) makes this
         single call, as one forward pass would. ``kappas`` overrides the
-        profile lookup per row; ``noise``, the ``position_noise`` of the
-        same positions and query kind, is consumed as the output. Every
+        profile lookup per row. ``noise`` is a table of position noise of
+        the same query kind, ``position_noise(range(M))`` with M above
+        every position: the query reads row p of it for position p and
+        never writes it, so a decoder hashes its grid's noise once. Every
         row's position key, context key, target and gap are derived with
         array operations: the wrapping 64-bit arithmetic that ``_row_args``
         does on Python ints for the one-row query. ``raw_logits_rows`` is
@@ -206,10 +208,12 @@ class Oracle:
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
-        if noise is not None and noise.shape != (n, cfg.vocab):
-            raise ValueError("noise must have one row per position")
         if n and pos.min() < 0:
             raise ValueError("position out of range")
+        if noise is not None and (noise.ndim != 2
+                                  or noise.shape[1] != cfg.vocab
+                                  or n and pos.max() >= noise.shape[0]):
+            raise ValueError("noise must have a row for every position")
         U = np.uint64
         pk = self._pos_keys(pos, conditional)
         ctx = _kernels_py._mix64_vec(pk ^ np.asarray(digests, dtype=U)) \
@@ -219,4 +223,4 @@ class Oracle:
         gaps = GAP_MAX * np.asarray(kappas, dtype=np.float64)
         return _kernels_py.raw_logits_rows(
             pk, ctx, cfg.context_sensitivity, cfg.vocab, pk % U(cfg.vocab),
-            gaps, noise)
+            gaps, noise, pos)

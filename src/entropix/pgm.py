@@ -16,8 +16,8 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     pix = np.asarray(pixels)
     h, w = pix.shape
     lines = [f"P2", f"{w} {h}", "255"]
-    for row in pix:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for row in pix.astype(np.int64).tolist():  # Python ints format faster
+        lines.append(" ".join(map(str, row)))
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 

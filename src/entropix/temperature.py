@@ -97,9 +97,10 @@ def pipeline_probs(cond_logits,
     logits = dist.rescale_logits(logits, t)
     if top_k is not None:
         logits = dist.top_k_filter(logits, top_k)
-    if top_p is not None:
-        logits = dist.top_p_filter(logits, top_p)
-    probs = dist.softmax(logits)
+    if top_p is None:
+        probs = dist.softmax(logits)
+    else:  # the same as softmax(top_p_filter(...)), one exponentiation
+        probs = dist.top_p_softmax(logits, top_p)
     if probs.ndim == 1:
         return probs, float(eps), t
     return probs, eps, t

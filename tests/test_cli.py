@@ -460,3 +460,46 @@ class TestNextTokenGolden:
         assert float_digest(result.entropy_map) == emap_digest
         assert float_digest(result.temps) == temp_digest
         assert len(result.temps) == 64
+
+
+# Frozen artifact files: a short SHA-256 of each file `generate` writes for
+# the harness config (seed 3, V = 16, 8x8, context 0.5) with guidance 1.5
+# and top-p 0.9, one config per mode (8 steps in mask mode). Recorded at
+# commit 5159eb5, before the artifact rows were formatted from Python
+# lists; report.csv holds no wall time, so every file is deterministic.
+ARTIFACT_GOLDEN = {
+    "next-token": {"entropy.csv": "1907706685cf805c",
+                   "entropy.pgm": "622ceab68849a525",
+                   "report.csv": "54dc639a5beeb61e",
+                   "tokens.csv": "574ae48618580f11"},
+    "mask": {"entropy.csv": "40b6fbc3bcf4f262",
+             "entropy.pgm": "f6b194562d909419",
+             "report.csv": "9e477b87a8abe025",
+             "tokens.csv": "aa2ecdbd50786a03"},
+    "scale": {"entropy.csv": "5d4d513526ce5800",
+              "entropy.pgm": "fcd9bffab4d5b570",
+              "report.csv": "7bee68842013d104",
+              "scales.csv": "a266dc2fec8a7939",
+              "tokens.csv": "b0c42a3db5e204ed"},
+    "spec-baseline": {"entropy.csv": "31e04d9fdc178876",
+                      "entropy.pgm": "eb3074ec15671b97",
+                      "report.csv": "e758e32378f5aed0",
+                      "tokens.csv": "26d4b6ee675d0ccb"},
+    "spec-entropy": {"entropy.csv": "31e04d9fdc178876",
+                     "entropy.pgm": "eb3074ec15671b97",
+                     "report.csv": "379e03569b845952",
+                     "tokens.csv": "26d4b6ee675d0ccb"},
+}
+
+
+class TestArtifactGolden:
+    @pytest.mark.parametrize("mode", sorted(ARTIFACT_GOLDEN))
+    def test_golden_files(self, tmp_path, mode):
+        extra = "cfg_scale = 1.5\ntop_p = 0.9\n"
+        if mode == "mask":
+            extra += "steps = 8\n"
+        assert main(["generate", base_config(tmp_path, mode, extra)]) == 0
+        got = {name: hashlib.sha256(
+                   Path(artifact(tmp_path, name)).read_bytes()).hexdigest()[:16]
+               for name in sorted(os.listdir(tmp_path / "out"))}
+        assert got == ARTIFACT_GOLDEN[mode]

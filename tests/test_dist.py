@@ -270,6 +270,97 @@ class TestFiltersMatchStableRanking:
         assert dist.top_p_filter(a, 0.5).shape == (0, 5)
 
 
+def plain_softmax(a):
+    """The stack softmax with np.exp on every lane, slow ones included."""
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+# shifted logits in every band np.exp meets: normal results, the fast
+# floor and its neighbours, the subnormal band, the last inputs that round
+# above 0, exact 0 and -inf
+EXP_BANDS = [0.0, -1.0, -699.9, -700.0, -700.1, -707.5, -708.4, -709.0,
+             -720.0, -744.44, -745.1, -745.1332191019411, -745.1332191019412,
+             -745.14, -745.9, -746.0, -746.1, -800.0, -1e300, -np.inf]
+
+
+@st.composite
+def shifted_stacks(draw):
+    """[N, V] stacks whose rows mix every band of EXP_BANDS after the row
+    max is subtracted; each row has a finite maximum."""
+    n, v = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    lanes = draw(arrays(np.float64, (n, v), elements=st.one_of(
+        st.floats(-760.0, 0.0), st.floats(-746.0, -700.0),
+        st.floats(-1e4, 0.0), st.sampled_from(EXP_BANDS))))
+    lanes[:, draw(st.integers(0, v - 1))] = 0.0
+    offsets = draw(arrays(np.float64, (n, 1), elements=st.floats(-50, 50)))
+    return lanes + offsets
+
+
+class TestStackSoftmaxLanes:
+    """The fast-lane exponentiation of a stack against plain np.exp."""
+
+    def test_every_band_exact(self):
+        x = np.array([EXP_BANDS + [np.nan], EXP_BANDS[::-1] + [-710.0]])
+        got = x.copy()
+        dist._exp_stack(got)
+        assert_same_bits(got, np.exp(x))
+
+    @given(shifted_stacks(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_exp_matches_np_exp(self, a, with_nan):
+        if with_nan:
+            a[0, 0] = np.nan
+        got = a.copy()
+        dist._exp_stack(got)
+        assert_same_bits(got, np.exp(a))
+
+    @given(shifted_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_softmax_matches_plain_exp(self, a):
+        got = dist.softmax(a)
+        assert_same_bits(got, plain_softmax(a))
+        for n in range(a.shape[0]):
+            assert_same_bits(got[n], dist.softmax(a[n]))
+
+
+# top probabilities that tie while their logits differ: p = 0.5 keeps the
+# three entries at -2^-53, and the row's maximum (index 5) loses the tie
+LOST_MAX_ROW = [-2.0 ** -53, -2.0 ** -52, -2.0 ** -53, -2.0 ** -52,
+                -2.0 ** -53, 0.0]
+
+
+class TestTopPSoftmax:
+    """top_p_softmax against softmax(top_p_filter(...)), bit for bit."""
+
+    @given(logit_inputs(), st.sampled_from([1.0, 20.0, 100.0]),
+           st.one_of(st.floats(1e-12, 1.0),
+                     st.sampled_from([1e-12, np.nextafter(1.0, 0.0), 1.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_filter_then_softmax(self, a, scale, p):
+        a = a * scale  # wide rows reach the slow exp lanes
+        assert_same_bits(dist.top_p_softmax(a, p),
+                         dist.softmax(dist.top_p_filter(a, p)))
+
+    def test_row_that_loses_its_maximum(self):
+        row = np.array(LOST_MAX_ROW)
+        filtered = dist.top_p_filter(row, 0.5)
+        want = dist.softmax(filtered)
+        assert np.isfinite(filtered).tolist() == [True, False] * 3
+        # the row's own exponentials, kept and renormalized, are off here
+        e = np.where(np.isfinite(filtered), np.exp(row - row.max()), 0.0)
+        assert not np.array_equal(e / e.sum(), want)
+        assert_same_bits(dist.top_p_softmax(row, 0.5), want)
+        stack = np.stack([np.linspace(-3.0, 1.0, 6), row, row[::-1]])
+        assert_same_bits(dist.top_p_softmax(stack, 0.5),
+                         dist.softmax(dist.top_p_filter(stack, 0.5)))
+
+    def test_empty_batch(self):
+        assert dist.top_p_softmax(np.zeros((0, 5)), 0.5).shape == (0, 5)
+
+
 class TestCfgCombine:
     def test_scale_one_identity(self):
         c = np.array([2.0, 0.0])

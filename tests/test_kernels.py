@@ -8,6 +8,7 @@ shift or rounding step changes it.
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -206,21 +207,85 @@ class TestRawLogitsMatchesReference:
     @example(97, "block", float(np.nextafter(1.0, 0.0)), 1)
     def test_position_noise_path(self, vocab, size, c, seed):
         # the position noise from the kernel called with no context keys and
-        # no gaps, handed back, gives every row bit for bit, in place
+        # no gaps, handed back with the rows to read, gives every row bit
+        # for bit and is left as it was
         b = k._BLOCK_ELEMS // vocab
         n = {"none": 0, "one": 1, "block": b, "blocks": 2 * b + 3}[size]
         rng = np.random.default_rng(seed)
         pk, ctx, tstars, gaps = row_inputs(rng, n, vocab)
         want = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
-        noise = k.raw_logits_rows(pk, None, c, vocab)
-        got = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps, noise)
-        assert got is noise
+        # a table with spare rows, read in shuffled order
+        order = rng.permutation(n + 5)
+        table = k.raw_logits_rows(np.concatenate([pk, rand_u64(rng, 5)])[
+            np.argsort(order)], None, c, vocab)
+        before = table.copy()
+        got = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps, table,
+                                order[:n])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(table.view(np.int64), before.view(np.int64))
         noise = k.raw_logits_rows(pk, None, c, vocab)
         for i in sorted({0, n // 2, n - 1} & set(range(n))):
             args = (int(pk[i]), int(ctx[i]), c, vocab, int(tstars[i]),
                     float(gaps[i]))
+            kept = noise[i].copy()
             row = k.raw_logits(*args, noise[i])
-            assert np.shares_memory(row, noise[i])
+            assert np.array_equal(noise[i].view(np.int64), kept.view(np.int64))
             assert np.array_equal(row.view(np.int64),
                                   k.raw_logits(*args).view(np.int64))
+
+
+def split_ties():
+    """Values halfway between two doubles at every exponent above 2^53,
+    rounding down and up to even, and their neighbours."""
+    vals = []
+    for e in range(53, 64):
+        ulp = 1 << (e - 52)
+        for tie in ((1 << e) + ulp // 2, (1 << e) + ulp + ulp // 2,
+                    (1 << (e + 1)) - ulp // 2):
+            vals += [tie - 1, tie, tie + 1]
+    return vals
+
+
+SPLIT_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 52, 2 ** 53 - 1, 2 ** 53,
+               2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1]
+
+
+def split(values):
+    z = np.array(values, dtype=np.uint64)
+    return k._u64_to_f64(z.copy(), np.empty_like(z)), z.astype(np.float64)
+
+
+class TestSplitConversion:
+    """The two-half uint64 -> float64 conversion against numpy's cast."""
+
+    def test_edges_and_ties(self):
+        got, want = split(SPLIT_EDGES + split_ties())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_random_values(self, values):
+        got, want = split(values)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, float(np.nextafter(1.0, 0.0))])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_rows_around_the_dispatch_size(self, monkeypatch, delta, c):
+        # blocks from _SPLIT_MIN_ELEMS values up are split, smaller ones
+        # cast; either way every row is the one-row kernel's, bit for bit
+        vocab = 64
+        n = k._SPLIT_MIN_ELEMS // vocab + delta
+        calls = []
+        convert = k._u64_to_f64
+        monkeypatch.setattr(k, "_u64_to_f64",
+                            lambda z, t: calls.append(z.size) or convert(z, t))
+        pk, ctx, tstars, gaps = row_inputs(np.random.default_rng(n), n, vocab)
+        got = k.raw_logits_rows(pk, ctx, c, vocab, tstars, gaps)
+        assert bool(calls) == (delta >= 0)
+        assert np.array_equal(
+            got.view(np.int64),
+            ref_raw_logits_rows(pk, ctx, c, vocab, tstars, gaps).view(np.int64))
+        for i in range(n):
+            row = k.raw_logits(int(pk[i]), int(ctx[i]), c, vocab,
+                               int(tstars[i]), float(gaps[i]))
+            assert np.array_equal(got[i].view(np.int64), row.view(np.int64))

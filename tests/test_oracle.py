@@ -287,3 +287,22 @@ class TestLogitsRows:
             o.logits_rows([0, -1], [0, 0])
         with pytest.raises(ValueError):
             o.logits_rows([0, 1], [0, 0], kappas=[0.5])
+
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_noise_table_is_read_only(self, conditional):
+        # a position-noise table indexed by position, read in any order and
+        # as often as needed, gives the rows of a query that hashes its own
+        o = make(vocab=16, c=0.5, kappa=0.3)
+        table = o.position_noise(range(40), conditional)
+        before = table.copy()
+        positions = [39, 0, 7, 7, 21]
+        digests = [5, 6, 7, 8, 9]
+        for _ in range(2):
+            got = o.logits_rows(positions, digests, conditional, noise=table)
+            assert np.array_equal(
+                got, o.logits_rows(positions, digests, conditional))
+        assert np.array_equal(table, before)
+        with pytest.raises(ValueError, match="a row for every position"):
+            o.logits_rows([3, 40], [0, 0], conditional, noise=table)
+        with pytest.raises(ValueError, match="a row for every position"):
+            o.logits_rows([3], [0], conditional, noise=table[:, :8])

@@ -230,3 +230,29 @@ class TestScaleGolden:
         assert float_digest(me) == mean_digest
         assert float_digest(temps) == temp_digest
         assert len(temps) == 21
+
+
+class TestScaleFloorGolden:
+    """Scale decoding into the floor temperature, where the batched softmax
+    meets underflowing and subnormal exp lanes and top-p reuses its
+    exponentials: V = 64, a 64x64 grid under a kappa ramp from 0 to 1
+    across the columns, the default 7-scale ladder, beta 0.3, floor 0.05,
+    top-p 0.9, guidance 1.5 and context 0.5. Digests of the tokens (as
+    float64), the entropies and the applied temperatures, recorded at
+    commit 5159eb5, before the fast-lane softmax and the split hash
+    conversion."""
+
+    def test_golden_at_the_floor(self):
+        prof = np.tile(np.linspace(0.0, 1.0, 64), (64, 1))
+        o = Oracle(OracleConfig(vocab=64, shape=(64, 64), profile=prof,
+                                seed=7, context_sensitivity=0.5))
+        ladder = [(2 ** i, 2 ** i) for i in range(7)]
+        g, emaps, _, temps = scale_generate(
+            o, ladder, preset("llamagen"), ScaleTempParams(0.3, 7, 0.05),
+            RngStream(7), top_p=0.9, cfg_scale=1.5)
+        assert np.mean(np.asarray(temps) == 0.05) > 0.7
+        assert float_digest(np.concatenate([x.ravel() for x in g])) \
+            == "fcdb684ca3bc10ca"
+        assert float_digest(np.concatenate([e.ravel() for e in emaps])) \
+            == "6faf911382be8f5c"
+        assert float_digest(temps) == "d15144ad126f1268"

@@ -213,6 +213,36 @@ class TestPipelineRows:
             assert np.array_equal(probs[n], p1)
             assert eps[n] == e1 and t[n] == t1
 
+    def test_top_p_at_the_floor_temperature(self):
+        # the pipeline's one-exponentiation top-p against the two steps, at
+        # a temperature that leaves most lanes underflowing or subnormal
+        logits = np.random.default_rng(7).normal(scale=20.0, size=(40, 24))
+        probs, _, t = pipeline_probs(logits, top_p=0.9,
+                                     adjust_temperature=scaled(1e-3))
+        assert np.all(t == 0.05)
+        want = dist.softmax(dist.top_p_filter(
+            dist.rescale_logits(logits, t), 0.9))
+        assert np.array_equal(probs.view(np.int64), want.view(np.int64))
+        shifted = logits / 0.05 - (logits / 0.05).max(axis=1, keepdims=True)
+        assert ((shifted < -746) & (want == 0)).any()
+        assert ((shifted > -746) & (shifted < -708)).any()
+
+    def test_top_p_row_that_loses_its_maximum(self):
+        # top probabilities that tie while the logits differ: p = 0.5 keeps
+        # the three entries at -2^-53 and drops the maximum at index 5
+        row = [-2.0 ** -53, -2.0 ** -52] * 3
+        row[5] = 0.0
+        logits = np.array([row, np.linspace(-2.0, 1.0, 6)])
+        probs, _, t = pipeline_probs(logits, top_p=0.5,
+                                     adjust_temperature=np.ones_like)
+        filtered = dist.top_p_filter(logits, 0.5)
+        assert np.isfinite(filtered[0]).tolist() == [True, False] * 3
+        want = dist.softmax(filtered)
+        assert np.array_equal(probs.view(np.int64), want.view(np.int64))
+        single = pipeline_probs(logits[0], top_p=0.5,
+                                adjust_temperature=lambda t: 1.0)[0]
+        assert np.array_equal(single.view(np.int64), want[0].view(np.int64))
+
     def test_one_row_returns_scalars(self):
         _, eps, t = pipeline_probs(np.array([0.5, 0.1, -0.3]))
         assert isinstance(eps, float) and isinstance(t, float)
