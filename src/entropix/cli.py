@@ -87,7 +87,7 @@ def run(cfg: RunConfig) -> RunResult:
     if cfg.mode == "next-token":
         length = cfg.length if cfg.length is not None else n
         tokens, eps_list, temps = next_token_generate(
-            oracle, length, n, tp, rng, cfg.top_k, cfg.top_p, cfg.cfg_scale)
+            oracle, length, tp, rng, cfg.top_k, cfg.top_p, cfg.cfg_scale)
         grid, emap = _to_grid(tokens, eps_list, shape)
         return RunResult(grid, emap, temps, length, length, None,
                          time.perf_counter() - start)
@@ -256,17 +256,8 @@ def cmd_sweep(config_path: str, param: str, values_text: str) -> int:
         c = copy.deepcopy(cfg)
         setattr(c, attr, value)
         validate_config(c)
-        res = run(c)
-        rep = report_row(c, res)
-        rows.append({
-            "param": param,
-            "value": value,
-            "entropy_mean": rep["entropy_mean"],
-            "entropy_var": rep["entropy_var"],
-            "mean_temperature": rep["mean_temperature"],
-            "model_invocations": rep["model_invocations"],
-            "acceptance_rate": rep["acceptance_rate"],
-        })
+        # the report's other columns are read off it by header name
+        rows.append(dict(report_row(c, run(c)), param=param, value=value))
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"), header, rows)
     print(",".join(header))

@@ -25,9 +25,11 @@ def score(oracle: Oracle, positions, digests, tp: TempParams,
     their prefix digests; the unconditional query runs only under guidance.
 
     A sequence of positions is one batched query (``Oracle.logits_rows``),
-    one row per position. A single int position, digest and kappa is the
-    one-row case: the one-row query (``Oracle.logits_from_digest``) and the
-    1-D pipeline, returning a probability vector and two scalars.
+    one row per position; ``digests`` is one digest per position, or one
+    int that every position shares (mask, scale and next-token decoding
+    without context pass it once). A single int position, digest and kappa
+    is the one-row case: the one-row query (``Oracle.logits_from_digest``)
+    and the 1-D pipeline, returning a probability vector and two scalars.
     ``noise`` is the (conditional, unconditional) ``Oracle.position_noise``
     the queries read (a row for a one-row query, a table indexed by
     position for a batched one), or None for either query to hash its own.
@@ -59,30 +61,31 @@ def _position_noise_rows(oracle: Oracle, length: int,
         yield from zip(cond, uncond)
 
 
-def next_token_generate(oracle: Oracle, length: int, block: int,
-                        tp: TempParams, rng: RngStream,
-                        top_k: Optional[int] = None,
+def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
+                        rng: RngStream, top_k: Optional[int] = None,
                         top_p: Optional[float] = None,
                         cfg_scale: float = 1.0):
     """Sequential decoding; returns (tokens, entropies, temperatures).
 
     With context sensitivity 0 the oracle ignores the prefix, so positions
-    are scored ``block`` at a time in one query each, with one uniform per
-    position in order, as the one-at-a-time draws take them. Otherwise each
-    token conditions on the prefix before it, whose digest grows by one
-    pair per token instead of being refolded. Only the context half of a
-    row depends on that prefix: the position half is hashed in batches of
-    about ``_BLOCK_ELEMS`` values (512 positions at V = 64) ahead of the
-    one-row queries, which add the context term and the gap to it.
+    are scored a grid's worth at a time in one query each, all on digest 0,
+    with one uniform per position in order, as the one-at-a-time draws take
+    them. Otherwise each token conditions on the prefix before it, whose
+    digest grows by one pair per token instead of being refolded. Only the
+    context half of a row depends on that prefix: the position half is
+    hashed in batches of about ``_BLOCK_ELEMS`` values (512 positions at
+    V = 64) ahead of the one-row queries, which add the context term and
+    the gap to it.
     """
     tokens: List[int] = []
     eps_list: List[float] = []
     temps: List[float] = []
     if oracle.cfg.context_sensitivity == 0.0:
+        block = oracle.cfg.profile.size  # one grid's positions per query
         for start in range(0, length, block):
             positions = range(start, min(start + block, length))
-            probs, eps, t = score(oracle, positions, [0] * len(positions), tp,
-                                  top_k, top_p, cfg_scale)
+            probs, eps, t = score(oracle, positions, 0, tp, top_k, top_p,
+                                  cfg_scale)
             tokens.extend(dist.sample_rows(
                 probs, rng.uniforms(len(positions))).tolist())
             eps_list.extend(eps.tolist())

@@ -116,13 +116,19 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
 
     Each step scores all open positions in one batch (``decode.score``);
     they share the digest of the frozen grid, which a ``RunningDigest``
-    keeps by appending each step's newly accepted pairs. Only the context
-    half of a logits row depends on that digest: the position half of
-    every grid position is hashed once, before the first step
-    (``Oracle.position_noise``, conditional and, under guidance,
-    unconditional), and each step's queries read the open rows of it. It
-    then draws 2 uniforms per open position in row-major order: the
-    token's inverse-CDF uniform, then its Gumbel uniform.
+    keeps by appending each step's newly accepted pairs, and the query
+    takes that one digest for all of them. Only the context half of a
+    logits row depends on it: the position half of every grid position is
+    hashed once, before the first step (``Oracle.position_noise``,
+    conditional and, under guidance, unconditional), and each step's
+    queries read the open rows of it. It then draws 2 uniforms per open
+    position in row-major order: the token's inverse-CDF uniform, then its
+    Gumbel uniform.
+
+    The draft, confidence and entropy grids persist across steps, and each
+    step writes its values at the open positions only. Accepted positions
+    never reopen, so every cell of an accepted position holds the values of
+    the step that accepted it.
 
     Returns (token grid, entropy map recorded at each position's acceptance
     step, list of MaskState snapshots, applied-temperature list).
@@ -131,7 +137,10 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     if schedule.total_tokens != h * w:
         raise ValueError("schedule does not match the grid size")
     state = MaskState.initial(shape)
-    entropy_map = np.zeros(shape)
+    # flat grids, read through their (h, w) views
+    conf = np.full(h * w, -np.inf)
+    drafts = np.zeros(h * w, dtype=np.int64)
+    entropy = np.zeros(h * w)
     temps: List[float] = []
     history = [state]
     running = RunningDigest()  # the accepted (token, position) pairs
@@ -139,28 +148,22 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     noise = (oracle.position_noise(grid, True),
              oracle.position_noise(grid, False) if cfg_scale != 1.0 else None)
     for k_t in schedule.counts:
-        open_pos = np.flatnonzero(~state.accepted.reshape(-1))
+        open_pos = np.flatnonzero(~state.accepted)
         n = open_pos.shape[0]
-        # the conditioning digest is shared by every open position this
-        # step; the queries read the open rows of the grid's noise
-        probs, eps, t = score(oracle, open_pos, [running.digest()] * n, tp,
-                              top_k, top_p, cfg_scale, noise=noise)
+        probs, eps, t = score(oracle, open_pos, running.digest(), tp, top_k,
+                              top_p, cfg_scale, noise=noise)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
         drafted = dist.sample_rows(probs, u[:, 0])
-        conf = np.full(h * w, -np.inf)
-        drafts = np.zeros(h * w, dtype=np.int64)
-        step_eps = np.zeros(h * w)
         conf[open_pos] = confidence_rows(probs[np.arange(n), drafted], t,
                                          u[:, 1])
         drafts[open_pos] = drafted
-        step_eps[open_pos] = eps
+        entropy[open_pos] = eps
         temps.extend(t.tolist())
-        newly = ~state.accepted
+        before = state.accepted
         state = update_mask(conf.reshape(shape), state, k_t,
                             sampled_tokens=drafts.reshape(shape))
-        newly &= state.accepted
-        running.append(state.tokens[newly], np.flatnonzero(newly))
-        entropy_map[newly] = step_eps.reshape(shape)[newly]
+        newly = np.flatnonzero(state.accepted & ~before)
+        running.append(state.tokens.reshape(-1)[newly], newly)
         history.append(state)
     assert state.accepted.all()
-    return state.tokens.copy(), entropy_map, history, temps
+    return state.tokens.copy(), entropy.reshape(shape), history, temps

@@ -181,16 +181,19 @@ class Oracle:
             self._pos_keys(pos, conditional), None,
             self.cfg.context_sensitivity, self.cfg.vocab)
 
-    def logits_rows(self, positions: Sequence[int], digests: Sequence[int],
+    def logits_rows(self, positions: Sequence[int], digests,
                     conditional: bool = True,
                     kappas: Optional[Sequence[float]] = None,
                     noise: Optional[np.ndarray] = None) -> np.ndarray:
         """[N, V] logits in one query: row n is position ``positions[n]``
-        conditioned on the prefix digest ``digests[n]``.
+        conditioned on the prefix digest ``digests[n]``, or on ``digests``
+        itself when it is one digest that every row shares.
 
         A decode step that scores many positions (every open mask position,
         every Jacobi window slot, every position of a scale) makes this
-        single call, as one forward pass would. ``kappas`` overrides the
+        single call, as one forward pass would. Mask and scale decoding
+        pass one shared digest, which the array arithmetic broadcasts;
+        Jacobi windows pass one digest per slot. ``kappas`` overrides the
         profile lookup per row. ``noise`` is a table of position noise of
         the same query kind, ``position_noise(range(M))`` with M above
         every position: the query reads row p of it for position p and
@@ -204,7 +207,9 @@ class Oracle:
         cfg = self.cfg
         pos = np.asarray(positions, dtype=np.int64)
         n = pos.shape[0]
-        if n != len(digests):
+        U = np.uint64
+        digests = np.asarray(digests, dtype=U)
+        if digests.ndim and digests.shape != (n,):
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
@@ -214,9 +219,8 @@ class Oracle:
                                   or noise.shape[1] != cfg.vocab
                                   or n and pos.max() >= noise.shape[0]):
             raise ValueError("noise must have a row for every position")
-        U = np.uint64
         pk = self._pos_keys(pos, conditional)
-        ctx = _kernels_py._mix64_vec(pk ^ np.asarray(digests, dtype=U)) \
+        ctx = _kernels_py._mix64_vec(pk ^ digests) \
             if cfg.context_sensitivity != 0.0 else None
         if kappas is None:
             kappas = self._kappa_flat[pos % self._n]

@@ -56,8 +56,9 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
     """Decode every scale in ladder order, each conditioned on all coarser ones.
 
     All positions of a scale share one conditioning prefix, so each scale is
-    scored in one batch (``decode.score``), with one uniform drawn per
-    position in row-major order.
+    scored in one batch (``decode.score``) on that prefix's one digest, with
+    one uniform drawn per position in row-major order. Besides its outputs,
+    the loop carries only the coarser scales' ``RunningDigest``.
 
     Returns (list of token grids, list of entropy maps, per-scale mean entropy,
     applied-temperature list).
@@ -79,10 +80,10 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
         # sample the profile at the matching relative location
         i, j = np.divmod(np.arange(h * w), w)
         kappas = oracle.cfg.profile[i * ph // h, j * pw // w]
-        # every position of a scale conditions on the same coarser scales
-        digest = running.digest()
+        # every position of a scale conditions on the same coarser scales,
+        # so the query takes their one digest
         probs, eps, t = score(
-            oracle, positions, [digest] * (h * w), tp, top_k, top_p,
+            oracle, positions, running.digest(), tp, top_k, top_p,
             cfg_scale, kappas, partial(scale_temperature, s=s, sp=sp))
         # one uniform per position in row-major order
         tokens = dist.sample_rows(probs, rng.uniforms(h * w))

@@ -113,7 +113,12 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
 
     Slot i conditions on the emitted prefix plus drafts[:i]. Its digest comes
     from a running digest of the emitted prefix (``RunningDigest``), so no
-    prefix is copied or refolded.
+    prefix is copied or refolded. Between iterations the loop keeps the
+    drafts, that digest and ``prev``: the rows of the last window's
+    distributions that the surviving drafts were sampled from, so slot i is
+    unverified exactly when i == len(prev). Each iteration emits its
+    accepted drafts plus one more token (the resample or the fresh draw),
+    unless every slot was accepted, with the entropies of those slots.
 
     Returns (token list, SpecStats, entropy list, applied-temperature list).
     """
@@ -125,7 +130,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
     stats = SpecStats()
     vocab = oracle.cfg.vocab
     drafts = [rng.integer(vocab) for _ in range(window)]
-    prev: List[Optional[np.ndarray]] = [None] * window
+    prev: List[np.ndarray] = []
     running = RunningDigest()
 
     while len(emitted) < length:
@@ -139,16 +144,12 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
         eps_list = eps_rows.tolist()
         temps.extend(t_rows)
 
-        advance = w_eff
-        accepted_this = 0
+        accepted, tail = 0, []
         for i in range(w_eff):
-            if prev[i] is None:
+            if i == len(prev):
                 # unverified slot whose conditioning prefix is fully accepted:
                 # a draw from its fresh distribution is already exact
-                tok = dist.sample_categorical(q[i], rng)
-                emitted.append(tok)
-                eps_out.append(eps_list[i])
-                advance = i + 1
+                tail = [dist.sample_categorical(q[i], rng)]
                 break
             r = rng.uniform()
             p_old = float(prev[i][drafts[i]])
@@ -158,17 +159,14 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
                 ok = entropy_accept(p_new, p_old, eps_list[i], r, sp)
             else:
                 ok = baseline_accept(p_new, p_old, r)
-            if ok:
-                accepted_this += 1
-                emitted.append(drafts[i])
-                eps_out.append(eps_list[i])
-            else:
-                tok = residual_resample(q[i], prev[i], rng)
-                emitted.append(tok)
-                eps_out.append(eps_list[i])
-                advance = i + 1
+            if not ok:
+                tail = [residual_resample(q[i], prev[i], rng)]
                 break
-        stats.per_iteration_accepted.append(accepted_this)
+            accepted += 1
+        advance = accepted + len(tail)
+        emitted += drafts[:accepted] + tail
+        eps_out += eps_list[:advance]
+        stats.per_iteration_accepted.append(accepted)
         running.append(emitted[base:], range(base, len(emitted)))
 
         # slide the window: survivors resample from this iteration's
@@ -178,9 +176,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
         drafts = dist.sample_rows(
             survivors, rng.uniforms(survivors.shape[0])).tolist()
         prev = list(survivors)
-        while len(drafts) < window:
-            drafts.append(rng.integer(vocab))
-            prev.append(None)
+        drafts += [rng.integer(vocab) for _ in range(window - len(drafts))]
 
     stats.tokens_emitted = len(emitted)
     return emitted, stats, eps_out, temps

@@ -144,7 +144,7 @@ class TestNextTokenLongGolden:
             profile=profile_rect((16, 16), 0.9, 0.1, (4, 4, 8, 8)), seed=7,
             context_sensitivity=0.5))
         tokens, eps, temps = next_token_generate(
-            oracle, length, 256, preset("llamagen"), RngStream(9), top_k=16,
+            oracle, length, preset("llamagen"), RngStream(9), top_k=16,
             cfg_scale=1.5)
         assert len(tokens) == length
         assert tokens[:8] == [39, 20, 4, 30, 0, 56, 62, 58]

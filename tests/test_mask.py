@@ -242,7 +242,8 @@ class TestMaskGenerate:
         seen = []
 
         def recording(oracle, positions, digests, *args, **kwargs):
-            seen.append(list(digests))
+            # a shared digest stands for one digest per position
+            seen.append(np.broadcast_to(digests, len(positions)).tolist())
             return score(oracle, positions, digests, *args, **kwargs)
 
         score = mask.score
@@ -256,6 +257,32 @@ class TestMaskGenerate:
             grid = np.where(before.accepted, before.tokens, mid)
             assert digests == [o.digest_of(grid.reshape(-1))] \
                 * before.remaining()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_entropy_map_holds_the_accepting_step(self, monkeypatch, seed):
+        # an open position is rescored every step on a new digest, so its
+        # entropy changes from step to step; the map keeps the entropy of
+        # the step whose update_mask accepted it
+        steps = []
+
+        def recording(oracle, positions, digests, *args, **kwargs):
+            out = score(oracle, positions, digests, *args, **kwargs)
+            steps.append(dict(zip(np.asarray(positions).tolist(),
+                                  out[1].tolist())))
+            return out
+
+        score = mask.score
+        monkeypatch.setattr(mask, "score", recording)
+        _, emap, hist, _ = mask_generate(
+            small_oracle(seed=seed), (8, 8), cosine_schedule(64, 8),
+            preset("llamagen"), RngStream(seed), top_k=5, cfg_scale=1.5)
+        assert len(steps) == len(hist) - 1
+        want = np.full(64, np.nan)
+        for step, before, after in zip(steps, hist, hist[1:]):
+            assert sorted(step) == np.flatnonzero(~before.accepted).tolist()
+            for p in np.flatnonzero(after.accepted & ~before.accepted):
+                want[p] = step[p]
+        assert emap.reshape(-1).tolist() == want.tolist()
 
     def test_entropy_map_bounds(self):
         grid, emap, _, _ = mask_generate(

@@ -279,10 +279,32 @@ class TestLogitsRows:
             o.logits_at(5, prefix),
             o.logits_rows([5], [o.digest_of(prefix)])[0])
 
+    @pytest.mark.parametrize("c", [0.0, 0.6])
+    @pytest.mark.parametrize("conditional", [True, False])
+    @pytest.mark.parametrize("with_noise", [False, True])
+    def test_shared_digest_equals_one_per_row(self, c, conditional,
+                                              with_noise):
+        # one digest for every row is broadcast: bit for bit the rows of
+        # the query that repeats it once per row
+        o = make(vocab=16, c=c, kappa=0.3)
+        noise = o.position_noise(range(64), conditional) if with_noise \
+            else None
+        positions = [0, 5, 5, 63, 17]
+        for d in (0, 12345, (1 << 63) + 7, (1 << 64) - 1,
+                  o.digest_of([3, 1, 4])):
+            got = o.logits_rows(positions, d, conditional, noise=noise)
+            want = o.logits_rows(positions, [d] * len(positions),
+                                 conditional, noise=noise)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert o.logits_rows([], 7, conditional).shape == (0, 16)
+
     def test_invalid(self):
         o = make()
         with pytest.raises(ValueError):
             o.logits_rows([0, 1], [0])
+        for digests in ([0, 0, 0], [], [[0, 0]]):
+            with pytest.raises(ValueError, match="equal length"):
+                o.logits_rows([0, 1], digests)
         with pytest.raises(ValueError):
             o.logits_rows([0, -1], [0, 0])
         with pytest.raises(ValueError):

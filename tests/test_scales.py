@@ -132,7 +132,8 @@ class TestScaleGenerate:
         seen = []
 
         def recording(oracle, positions, digests, *args, **kwargs):
-            seen.append(list(digests))
+            # a shared digest stands for one digest per position
+            seen.append(np.broadcast_to(digests, len(positions)).tolist())
             return score(oracle, positions, digests, *args, **kwargs)
 
         score = scales.score

@@ -1,10 +1,13 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entropix import dist
+from entropix import dist, speculative
 from entropix.oracle import Oracle, OracleConfig
 from entropix.rng import RngStream
 from entropix.speculative import (BASELINE, ENTROPY_AWARE, SpecAcceptParams,
@@ -198,6 +201,46 @@ class TestJacobiDecode:
             counts[toks[0]] += 1
         tv = 0.5 * np.abs(counts / n - target).sum()
         assert tv < 0.05
+
+
+class TestJacobiEmission:
+    @settings(max_examples=150, deadline=None)
+    @given(window=st.integers(1, 8), length=st.integers(1, 40),
+           c=st.sampled_from([0.0, 0.5, 1.0]),
+           mode=st.sampled_from([BASELINE, ENTROPY_AWARE]),
+           cfg_scale=st.sampled_from([1.0, 1.5]), seed=st.integers(0, 999))
+    def test_windows_emit_accepted_slots_plus_one(self, window, length, c,
+                                                  mode, cfg_scale, seed):
+        # each window emits its accepted drafts and the slot after them
+        # (a resample or a fresh draw) unless every slot was accepted, with
+        # those slots' entropies; perfbench's checks.emitted_slots reads
+        # the temperature list through this mapping
+        windows = []
+
+        def recording(oracle, positions, digests, *args, **kwargs):
+            out = score(oracle, positions, digests, *args, **kwargs)
+            windows.append((list(positions), out[1].tolist()))
+            return out
+
+        score = speculative.score
+        with mock.patch.object(speculative, "score", recording):
+            toks, stats, eps, temps = jacobi_decode(
+                make_oracle(vocab=8, c=c, kappa=0.2, seed=seed % 7), length,
+                window, preset("llamagen"), SpecAcceptParams(mode=mode),
+                RngStream(seed), cfg_scale=cfg_scale)
+        assert len(toks) == len(eps) == length
+        assert len(windows) == len(stats.per_iteration_accepted)
+        base = 0
+        for (positions, slot_eps), accepted in zip(
+                windows, stats.per_iteration_accepted):
+            w_eff = min(window, length - base)
+            assert positions == list(range(base, base + w_eff))
+            assert accepted <= w_eff
+            advance = accepted if accepted == w_eff else accepted + 1
+            assert eps[base:base + advance] == slot_eps[:advance]
+            base += advance
+        assert base == length
+        assert len(temps) == sum(len(p) for p, _ in windows)
 
 
 def float_digest(values):
