@@ -3,7 +3,7 @@
 Subcommands:
   generate <config>                 decode and write tokens/entropy/report
   sweep <config> <param> <v1,...>   rerun while varying one parameter
-  entropy-map <config>              write only the entropy map artifacts
+  entropy-map <config>              generate, writing the entropy maps only
 
 Exit codes: 0 success, 2 config parse failure, 3 invalid parameters
 (including an out_dir that cannot be written).
@@ -20,8 +20,8 @@ from typing import List, Optional
 import numpy as np
 
 from entropix import pgm
-from entropix.config import (ConfigSyntaxError, ConfigValueError, RunConfig,
-                             parse_config, validate_config)
+from entropix.config import (_INT_KEYS, ConfigSyntaxError, ConfigValueError,
+                             RunConfig, parse_config, validate_config)
 from entropix.decode import next_token_generate
 from entropix.mask import cosine_schedule, mask_generate
 from entropix.oracle import Oracle, OracleConfig, profile_rect
@@ -57,15 +57,6 @@ def build_oracle(cfg: RunConfig) -> Oracle:
                                context_sensitivity=cfg.context_sensitivity))
 
 
-def build_temp_params(cfg: RunConfig) -> TempParams:
-    if cfg.preset is not None:
-        try:
-            return preset(cfg.preset)
-        except ValueError as exc:
-            raise ConfigValueError(str(exc)) from None
-    return TempParams(cfg.t0, cfg.alpha, cfg.theta)
-
-
 def default_ladder(height: int, width: int):
     shapes = []
     h, w = 1, 1
@@ -78,52 +69,46 @@ def default_ladder(height: int, width: int):
 
 def run(cfg: RunConfig) -> RunResult:
     oracle = build_oracle(cfg)
-    tp = build_temp_params(cfg)
+    tp = preset(cfg.preset) if cfg.preset is not None \
+        else TempParams(cfg.t0, cfg.alpha, cfg.theta)
     rng = RngStream(cfg.seed)
     shape = (cfg.height, cfg.width)
     n = cfg.height * cfg.width
+    length = cfg.length if cfg.length is not None else n
+    options = (cfg.top_k, cfg.top_p, cfg.cfg_scale)
+    stats = mean_eps = None
     start = time.perf_counter()
 
     if cfg.mode == "next-token":
-        length = cfg.length if cfg.length is not None else n
-        tokens, eps_list, temps = next_token_generate(
-            oracle, length, tp, rng, cfg.top_k, cfg.top_p, cfg.cfg_scale)
+        tokens, eps_list, temps = next_token_generate(oracle, length, tp, rng,
+                                                      *options)
         grid, emap = _to_grid(tokens, eps_list, shape)
-        return RunResult(grid, emap, temps, length, length, None,
-                         time.perf_counter() - start)
-
-    if cfg.mode == "mask":
+        emitted = invocations = length
+    elif cfg.mode == "mask":
         schedule = cosine_schedule(n, cfg.steps)
-        grid, emap, history, temps = mask_generate(
-            oracle, shape, schedule, tp, rng, cfg.top_k, cfg.top_p,
-            cfg.cfg_scale)
-        return RunResult(grid, emap, temps, n, schedule.total_steps, None,
-                         time.perf_counter() - start)
-
-    if cfg.mode == "scale":
+        grid, emap, _, temps = mask_generate(oracle, shape, schedule, tp, rng,
+                                             *options)
+        emitted, invocations = n, schedule.total_steps
+    elif cfg.mode == "scale":
         ladder = cfg.ladder if cfg.ladder is not None \
             else default_ladder(cfg.height, cfg.width)
         sp = ScaleTempParams(cfg.beta, len(ladder), cfg.floor_temperature)
-        grids, emaps, mean_eps, temps = scale_generate(
-            oracle, ladder, tp, sp, rng, cfg.top_k, cfg.top_p, cfg.cfg_scale)
-        return RunResult(grids[-1], emaps[-1], temps,
-                         sum(g.size for g in grids), len(ladder), None,
-                         time.perf_counter() - start, mean_eps)
-
-    if cfg.mode in ("spec-baseline", "spec-entropy"):
+        grids, emaps, mean_eps, temps = scale_generate(oracle, ladder, tp, sp,
+                                                       rng, *options)
+        grid, emap = grids[-1], emaps[-1]
+        emitted, invocations = sum(g.size for g in grids), len(ladder)
+    elif cfg.mode in ("spec-baseline", "spec-entropy"):
         mode = ENTROPY_AWARE if cfg.mode == "spec-entropy" else BASELINE
         sp = SpecAcceptParams(cfg.accept_e, cfg.accept_lambda, mode,
                               cfg.literal_noise_decay)
-        length = cfg.length if cfg.length is not None else n
         tokens, stats, eps_list, temps = jacobi_decode(
-            oracle, length, cfg.window, tp, sp, rng, cfg.top_k, cfg.top_p,
-            cfg.cfg_scale)
+            oracle, length, cfg.window, tp, sp, rng, *options)
         grid, emap = _to_grid(tokens, eps_list, shape)
-        return RunResult(grid, emap, temps, stats.tokens_emitted,
-                         stats.model_invocations, stats,
-                         time.perf_counter() - start)
-
-    raise ConfigValueError(f"unknown mode {cfg.mode!r}")
+        emitted, invocations = stats.tokens_emitted, stats.model_invocations
+    else:
+        raise ConfigValueError(f"unknown mode {cfg.mode!r}")
+    return RunResult(grid, emap, temps, emitted, invocations, stats,
+                     time.perf_counter() - start, mean_eps)
 
 
 def _to_grid(tokens, eps_list, shape):
@@ -166,11 +151,14 @@ def report_row(cfg: RunConfig, res: RunResult) -> dict:
     return row
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> str:
+    """Write the header's columns of each row (a dict) and return the
+    text."""
+    lines = [header] + [[row[k] for k in header] for row in rows]
+    text = "".join(",".join(map(_fmt, line)) + "\n" for line in lines)
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[k]) for k in header) + "\n")
+        f.write(text)
+    return text
 
 
 def write_artifacts(cfg: RunConfig, res: RunResult, out_dir: str,
@@ -191,41 +179,31 @@ def write_artifacts(cfg: RunConfig, res: RunResult, out_dir: str,
     row = report_row(cfg, res)
     write_csv(os.path.join(out_dir, "report.csv"), list(row), [row])
     if res.scale_mean_entropy is not None:
-        with open(os.path.join(out_dir, "scales.csv"), "w", newline="\n") as f:
-            f.write("scale,mean_entropy\n")
-            for s, m in enumerate(res.scale_mean_entropy, start=1):
-                f.write(f"{s},{m:.12g}\n")
+        write_csv(os.path.join(out_dir, "scales.csv"),
+                  ["scale", "mean_entropy"],
+                  [{"scale": s, "mean_entropy": m}
+                   for s, m in enumerate(res.scale_mean_entropy, start=1)])
 
 
-def cmd_generate(config_path: str) -> int:
+def cmd_generate(config_path: str, maps_only: bool = False) -> int:
     cfg = parse_config(config_path)
     res = run(cfg)
-    write_artifacts(cfg, res, cfg.out_dir)
-    print(f"mode={cfg.mode} seed={cfg.seed} tokens={res.tokens_emitted} "
-          f"invocations={res.model_invocations} wall_time={res.wall_time:.3f}s")
+    write_artifacts(cfg, res, cfg.out_dir, maps_only)
+    if maps_only:
+        print(f"entropy map written to {cfg.out_dir} "
+              f"(mean={float(res.entropy_map.mean()):.4f} nats, "
+              f"wall_time={res.wall_time:.3f}s)")
+    else:
+        print(f"mode={cfg.mode} seed={cfg.seed} tokens={res.tokens_emitted} "
+              f"invocations={res.model_invocations} "
+              f"wall_time={res.wall_time:.3f}s")
     return 0
 
 
-def cmd_entropy_map(config_path: str) -> int:
-    cfg = parse_config(config_path)
-    res = run(cfg)
-    write_artifacts(cfg, res, cfg.out_dir, maps_only=True)
-    print(f"entropy map written to {cfg.out_dir} "
-          f"(mean={float(res.entropy_map.mean()):.4f} nats, "
-          f"wall_time={res.wall_time:.3f}s)")
-    return 0
-
-
-SWEEP_PARAMS = {
-    "T0": ("t0", float),
-    "alpha": ("alpha", float),
-    "theta": ("theta", float),
-    "K": ("top_k", int),
-    "cfg_scale": ("cfg_scale", float),
-    "e": ("accept_e", float),
-    "lambda": ("accept_lambda", float),
-    "beta": ("beta", float),
-}
+# sweep name -> config field; a field in config._INT_KEYS takes integers
+SWEEP_PARAMS = {"T0": "t0", "alpha": "alpha", "theta": "theta", "K": "top_k",
+                "cfg_scale": "cfg_scale", "e": "accept_e",
+                "lambda": "accept_lambda", "beta": "beta"}
 
 
 def cmd_sweep(config_path: str, param: str, values_text: str) -> int:
@@ -236,13 +214,13 @@ def cmd_sweep(config_path: str, param: str, values_text: str) -> int:
     raw = [v for v in values_text.split(",") if v.strip()]
     if not raw:
         raise ConfigValueError("sweep needs at least one value")
-    attr, cast = SWEEP_PARAMS[param]
+    attr = SWEEP_PARAMS[param]
     bad = ConfigValueError(f"bad sweep values: {values_text!r}")
     try:
         values = [float(v) for v in raw]
     except ValueError:
         raise bad from None
-    if cast is int:
+    if attr in _INT_KEYS:
         # an integer parameter takes integral values only, written as
         # floats or not ("8.0"); is_integer is False for inf and NaN
         if not all(v.is_integer() for v in values):
@@ -259,10 +237,8 @@ def cmd_sweep(config_path: str, param: str, values_text: str) -> int:
         # the report's other columns are read off it by header name
         rows.append(dict(report_row(c, run(c)), param=param, value=value))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "sweep.csv"), header, rows)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(row[k]) for k in header))
+    print(write_csv(os.path.join(cfg.out_dir, "sweep.csv"), header, rows),
+          end="")
     return 0
 
 
@@ -288,12 +264,9 @@ def main(argv=None) -> int:
         sweep.error("expected one comma-separated list of values")
 
     try:
-        if args.command == "generate":
-            return cmd_generate(args.config)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.param, args.values[0])
-        if args.command == "entropy-map":
-            return cmd_entropy_map(args.config)
+        return cmd_generate(args.config, args.command == "entropy-map")
     except ConfigSyntaxError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -305,7 +278,6 @@ def main(argv=None) -> int:
         print(f"invalid parameters: cannot write artifacts: {exc}",
               file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -99,11 +99,6 @@ class Oracle:
         scale decoders pass explicit linear indices. Entries equal to the
         reserved mask id are dropped from the digest.
         """
-        cfg = self.cfg
-        if linear_pos < 0:
-            raise ValueError("position out of range")
-        if prefix_indices is None:
-            prefix_indices = range(len(prefix_tokens))
         if self.cfg.context_sensitivity != 0.0:
             digest = self.digest_of(prefix_tokens, prefix_indices)
         else:

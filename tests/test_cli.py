@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropix import pgm
+from entropix import config, pgm
 from entropix.cli import SWEEP_PARAMS, main, run
 from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
                              MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW, MODES,
                              ConfigSyntaxError, ConfigValueError, RunConfig,
                              parse_config, validate_config)
+from entropix.oracle import Oracle
 
 
 def write_config(path, text):
@@ -134,8 +135,58 @@ AT_LIMIT = [
     dict(mode="spec-entropy", vocab=MAX_VOCAB, window=MAX_WINDOW, length=64),
 ]
 
+# Small configs, one per batching rule that config._check_sizes restates:
+# each decoder's largest oracle query, in rows.
+QUERY_CONFIGS = [
+    # next-token at context 0: one query per grid, or a shorter length
+    dict(mode="next-token", length=7),
+    dict(mode="next-token", length=45),
+    # under context one row per token
+    dict(mode="next-token", context_sensitivity=0.5),
+    dict(mode="mask", steps=4),
+    dict(mode="scale"),
+    # the largest scale is not the last one
+    dict(mode="scale", ladder=((1, 1), (3, 4), (2, 2))),
+    # Jacobi windows hold min(window, length) rows
+    dict(mode="spec-entropy", window=9, length=6, context_sensitivity=0.5),
+    dict(mode="spec-baseline", window=3, length=12, context_sensitivity=0.5),
+]
+
 
 class TestSizeLimits:
+    @pytest.mark.parametrize("keys", QUERY_CONFIGS)
+    def test_query_limit_is_the_largest_query(self, monkeypatch, keys):
+        # The limit must admit exactly the logits of the largest query the
+        # decoders make, so the check and the decoders' batching cannot
+        # drift apart. It bounds logits_rows and logits_from_digest only:
+        # next-token's position-noise chunks under context are bounded by
+        # the kernel block (_kernels_py._BLOCK_ELEMS), not by this check.
+        cfg = RunConfig(vocab=8, height=4, width=5, seed=1, cfg_scale=1.5,
+                        **keys)
+        largest = 0
+        rows_query = Oracle.logits_rows
+        one_row_query = Oracle.logits_from_digest
+
+        def logits_rows(self, positions, *args, **kwargs):
+            nonlocal largest
+            largest = max(largest, len(positions) * self.cfg.vocab)
+            return rows_query(self, positions, *args, **kwargs)
+
+        def logits_from_digest(self, *args, **kwargs):
+            nonlocal largest
+            largest = max(largest, self.cfg.vocab)
+            return one_row_query(self, *args, **kwargs)
+
+        monkeypatch.setattr(Oracle, "logits_rows", logits_rows)
+        monkeypatch.setattr(Oracle, "logits_from_digest", logits_from_digest)
+        run(cfg)
+        assert largest > 0
+        monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest)
+        validate_config(cfg)
+        monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest - 1)
+        with pytest.raises(ConfigValueError, match="query"):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("match,keys", OVERSIZED)
     def test_oversized_rejected(self, match, keys):
         with pytest.raises(ConfigValueError, match=match):
@@ -413,6 +464,41 @@ class TestSweep:
         capsys.readouterr()
         rows = open(artifact(tmp_path, "sweep.csv")).read().splitlines()
         assert [r.split(",")[1] for r in rows[1:]] == ["8", "3"]
+
+
+class TestCommandPaths:
+    """What each command prints and writes, where generate and entropy-map
+    share one path and sweep prints the CSV it writes."""
+
+    @pytest.mark.parametrize("command", ["generate", "entropy-map"])
+    def test_unknown_preset_exits_3_without_artifacts(self, tmp_path, capsys,
+                                                      command):
+        cfg = base_config(tmp_path, extra="preset = nope\n")
+        assert main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert "invalid parameters: unknown preset 'nope'" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("mode,param,values", [
+        ("next-token", "alpha", "1,2.5"),
+        ("next-token", "K", "8.0,3"),
+        ("spec-entropy", "e", "4,8,16"),
+    ])
+    def test_sweep_prints_the_csv_it_writes(self, tmp_path, capsys, mode,
+                                           param, values):
+        cfg = base_config(tmp_path, mode, "length = 32\nwindow = 4\n")
+        assert main(["sweep", cfg, param, values]) == 0
+        written = Path(artifact(tmp_path, "sweep.csv")).read_text()
+        assert capsys.readouterr().out == written
+        assert len(written.splitlines()) == 1 + len(values.split(","))
+
+    def test_entropy_map_summary_line(self, tmp_path, capsys):
+        assert main(["entropy-map", base_config(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"entropy map written to {tmp_path / 'out'} "
+                              "(mean=")
+        assert out.count("\n") == 1
 
 
 def float_digest(values):
