@@ -4,8 +4,8 @@ The hash is plain splitmix64 over wrapping 64-bit arithmetic and the float
 mapping is a single multiply by 2^-64, so every output is exact and
 platform-independent (pinned by golden values in ``tests/test_kernels.py``).
 
-One noise helper, ``_noise_into``, serves both logits kernels: the one-row
-``raw_logits`` on scalar keys and 1-D buffers, and the batched
+One noise helper, ``_noise_into``, serves both logits kernels: the
+unblocked ``raw_logits`` on the rows of one position, and the batched
 ``raw_logits_rows`` one block of rows at a time. Every hash step on a block
 runs in place on two scratch buffers that stay in cache. Run over the whole
 batch, each step would allocate a fresh [N, V] array, and the kernel's time
@@ -20,7 +20,8 @@ in the usual order, so the row is the same bit for bit. The batched kernel
 gathers each block's rows of it (``noise_rows``) into its output itself.
 Mask decoding hashes the position noise of the whole grid once and reads
 the open rows of it at every step; next-token decoding under context
-hashes it a block of positions at a time and passes one row per call.
+hashes it a chunk of positions at a time, both query kinds together, and
+passes each token's [k, V] rows to one ``raw_logits`` call.
 
 Turning a hash into a float is the kernel's slow lane: numpy casts uint64
 to float64 at about 7 ns a value on a 32,768-value block, against 1 ns for
@@ -265,19 +266,26 @@ def raw_logits_rows(pos_keys: np.ndarray, ctx_keys: Optional[np.ndarray],
     return out
 
 
-def raw_logits(pos_key: int, ctx_key: int, c: float, vocab: int,
-               tstar: int, gap: float,
+def raw_logits(pos_key, ctx_key, c: float, vocab: int, tstar, gap,
                noise: Optional[np.ndarray] = None) -> np.ndarray:
     """Deterministic base logits: hashed noise plus a gap on the target token.
 
-    The one-row case of ``raw_logits_rows``: the same noise helper on
-    scalar keys and 1-D buffers, with a scalar gap add, so a one-row query
-    builds no index arrays. ``noise``, one row of ``raw_logits_rows``'s
-    position noise, is read as there: the row starts from a copy of it.
+    The unblocked kernel for the rows of one position, on the same noise
+    helper as ``raw_logits_rows`` but with no index arrays. Scalar keys,
+    target and gap give one 1-D row; k-element context keys, targets and
+    gaps with [k, V] ``noise`` give its k query kinds' rows (k <= 2, the
+    guidance pair). ``noise``, rows of ``raw_logits_rows``'s position
+    noise, is read as there: the rows start from a copy of it.
     """
     out = np.empty(vocab) if noise is None else noise.copy()
-    z = np.empty(vocab, dtype=np.uint64)
-    _noise_into(out, None if noise is not None else _U(pos_key), _U(ctx_key),
-                c, z, np.empty_like(z))
-    out[tstar] += gap
+    # one context key per row
+    ctx = np.array(ctx_key, dtype=np.uint64).reshape(out.shape[:-1] + (1,))
+    z = np.empty(out.shape, dtype=np.uint64)
+    _noise_into(out, None if noise is not None else _U(pos_key), ctx, c, z,
+                np.empty_like(z))
+    if out.ndim == 1:
+        out[tstar] += gap
+    else:
+        for row, (t, g) in enumerate(zip(tstar, gap)):
+            out[row, t] += g
     return out

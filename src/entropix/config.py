@@ -209,8 +209,9 @@ def _check_sizes(cfg: RunConfig) -> None:
     # rows of the largest batched oracle query the run makes
     length = cfg.length if cfg.length is not None else cells
     if cfg.mode == "next-token":
-        # blocks of up to a grid at context 0, else one row per token
-        rows = min(cells, length) if cfg.context_sensitivity == 0.0 else 1
+        # blocks of up to a grid at context 0, else a row per query kind
+        rows = min(cells, length) if cfg.context_sensitivity == 0.0 \
+            else 1 + (cfg.cfg_scale != 1.0)
     elif cfg.mode == "scale" and cfg.ladder is not None:
         rows = max((h * w for h, w in cfg.ladder), default=0)
     elif cfg.mode in ("spec-baseline", "spec-entropy"):

@@ -2,10 +2,13 @@
 
 ``score`` is the paper's one rule for a position: query the oracle, read
 the entropy of the guided distribution, pick its temperature and build the
-distribution to draw from. Every decoder calls it.
+distribution to draw from. Every decoder calls it. Next-token decoding
+under context scores one position per token: one query
+(``Oracle.logits_kinds``) gives its conditional and unconditional rows,
+from inputs derived a chunk of positions ahead.
 """
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -19,46 +22,39 @@ from entropix.temperature import TempParams, pipeline_probs
 def score(oracle: Oracle, positions, digests, tp: TempParams,
           top_k: Optional[int] = None, top_p: Optional[float] = None,
           cfg_scale: float = 1.0, kappas=None,
-          adjust_temperature: Optional[Callable] = None,
-          noise: Tuple = (None, None)):
+          adjust_temperature: Optional[Callable] = None, noise=None):
     """(probs, entropy, applied temperature) of positions conditioned on
     their prefix digests; the unconditional query runs only under guidance.
 
-    A sequence of positions is one batched query (``Oracle.logits_rows``),
-    one row per position; ``digests`` is one digest per position, or one
-    int that every position shares (mask, scale and next-token decoding
-    without context pass it once). A single int position, digest and kappa
-    is the one-row case: the one-row query (``Oracle.logits_from_digest``)
-    and the 1-D pipeline, returning a probability vector and two scalars.
-    ``noise`` is the (conditional, unconditional) ``Oracle.position_noise``
-    the queries read (a row for a one-row query, a table indexed by
-    position for a batched one), or None for either query to hash its own.
+    A sequence of positions is one batched query (``Oracle.logits_rows``)
+    per query kind, one row per position; ``digests`` is one digest per
+    position, or one int that every position shares (mask, scale and
+    next-token decoding without context pass it once). ``noise`` is then
+    the (conditional, unconditional) ``Oracle.position_noise`` tables the
+    queries read, or None for them to hash their own. A single int
+    position, digest and kappa is the one-row case: one query of both
+    kinds (``Oracle.logits_kinds``) and the 1-D pipeline, returning a
+    probability vector and two scalars. ``noise`` is then the position's
+    ``Oracle.position_inputs`` entry for those kinds, or None.
     """
+    guided = cfg_scale != 1.0
     if isinstance(positions, (int, np.integer)):
-        query = oracle.logits_from_digest
+        logits = oracle.logits_kinds(positions, digests, _KINDS[guided],
+                                     kappas, noise)
+        uncond = logits[1] if guided else None
+        logits = logits[0]
     else:
-        query = oracle.logits_rows
-    logits = query(positions, digests, True, kappas, noise[0])
-    uncond = None
-    if cfg_scale != 1.0:
-        uncond = query(positions, digests, False, kappas, noise[1])
+        cond_noise, uncond_noise = noise or (None, None)
+        logits = oracle.logits_rows(positions, digests, True, kappas,
+                                    cond_noise)
+        uncond = oracle.logits_rows(positions, digests, False, kappas,
+                                    uncond_noise) if guided else None
     return pipeline_probs(logits, uncond, cfg_scale, tp, top_k, top_p,
                           adjust_temperature)
 
 
-def _position_noise_rows(oracle: Oracle, length: int,
-                         guided: bool) -> Iterator[Tuple]:
-    """(conditional, unconditional) position noise of positions 0, 1, ...,
-    length - 1, one pair of rows each; the unconditional row is None
-    without guidance. It is hashed a chunk of about ``_BLOCK_ELEMS`` values
-    at a time, so the decoder holds one chunk, not the whole sequence."""
-    chunk = max(1, _BLOCK_ELEMS // oracle.cfg.vocab)
-    for start in range(0, length, chunk):
-        span = np.arange(start, min(start + chunk, length))
-        cond = oracle.position_noise(span, True)
-        uncond = oracle.position_noise(span, False) if guided \
-            else [None] * len(span)
-        yield from zip(cond, uncond)
+# the query kinds of one position, by whether guidance is on
+_KINDS = {False: (True,), True: (True, False)}
 
 
 def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
@@ -72,10 +68,11 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     with one uniform per position in order, as the one-at-a-time draws take
     them. Otherwise each token conditions on the prefix before it, whose
     digest grows by one pair per token instead of being refolded. Only the
-    context half of a row depends on that prefix: the position half is
-    hashed in batches of about ``_BLOCK_ELEMS`` values (512 positions at
-    V = 64) ahead of the one-row queries, which add the context term and
-    the gap to it.
+    context keys depend on that prefix: the rest of each token's inputs
+    (``Oracle.position_inputs``, its position noise included) is derived
+    for a chunk of about ``_BLOCK_ELEMS`` noise values per query kind (512
+    positions at V = 64) at a time, and each token makes one query of its
+    kinds, one kernel call for the guidance pair.
     """
     tokens: List[int] = []
     eps_list: List[float] = []
@@ -92,13 +89,16 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
             temps.extend(t.tolist())
         return tokens, eps_list, temps
     running = RunningDigest()
-    noise_rows = _position_noise_rows(oracle, length, cfg_scale != 1.0)
-    for pos, noise in zip(range(length), noise_rows):
-        probs, eps, t = score(oracle, pos, running.digest(), tp, top_k, top_p,
-                              cfg_scale, noise=noise)
-        token = dist.sample_categorical(probs, rng)
-        running.append((token,), (pos,))
-        tokens.append(token)
-        eps_list.append(eps)
-        temps.append(float(t))
+    kinds = _KINDS[cfg_scale != 1.0]
+    chunk = max(1, _BLOCK_ELEMS // oracle.cfg.vocab)
+    for start in range(0, length, chunk):
+        span = range(start, min(start + chunk, length))
+        for pos, inputs in zip(span, oracle.position_inputs(span, kinds)):
+            probs, eps, t = score(oracle, pos, running.digest(), tp, top_k,
+                                  top_p, cfg_scale, noise=inputs)
+            token = dist.sample_categorical(probs, rng)
+            running.append((token,), (pos,))
+            tokens.append(token)
+            eps_list.append(eps)
+            temps.append(float(t))
     return tokens, eps_list, temps

@@ -119,16 +119,17 @@ def support_entropy(probs):
 
     The 1-D form is ``-(nz * log nz).sum()`` over the positive entries nz.
     A row of a stack gives the same value bit for bit. Pairwise summation
-    groups terms by position, so dropped entries matter: a stack with full
-    support is summed in one pass, and otherwise the rows with m positive
-    entries are summed together as an [rows, m] stack of those entries.
+    groups terms by position, so dropped entries matter: a row or stack
+    with full support is summed in one pass, with no gather, and otherwise
+    the rows with m positive entries of a stack are summed together as an
+    [rows, m] stack of those entries.
     """
     p = np.asarray(probs, dtype=np.float64)
+    if p.min(initial=np.inf) > 0.0:  # full support: nothing to drop
+        return -(p * np.log(p)).sum(axis=-1)
     if p.ndim == 1:
         nz = p[p > 0.0]
         return -(nz * np.log(nz)).sum()
-    if p.min(initial=np.inf) > 0.0:
-        return -(p * np.log(p)).sum(axis=-1)
     pos = p > 0.0
     size = np.add.reduce(pos, axis=-1)
     out = np.empty(p.shape[0])
@@ -273,7 +274,7 @@ def cfg_combine(cond, uncond, scale: float) -> np.ndarray:
     u = as_logits(uncond)
     if c.shape != u.shape:
         raise ValueError("mismatched vocabulary sizes")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(c).all() and np.isfinite(u).all()):
         raise ValueError("guidance inputs must have no excluded entries")
     return u + scale * (c - u)
 
@@ -282,8 +283,8 @@ def sample_categorical(probs, rng: RngStream) -> int:
     """Inverse-CDF draw over ascending index order (bit-exact contract)."""
     p = validate_probs(probs)
     u = rng.uniform()
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, u, side="right"))
+    cum = p.cumsum()
+    idx = int(cum.searchsorted(u, side="right"))
     # guard the top edge: cum[-1] may be 1 - eps, and trailing zero-mass
     # entries must never be returned
     if idx >= p.shape[0]:

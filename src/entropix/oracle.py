@@ -11,7 +11,7 @@ stationary and prefix-independent. Decoders keep that digest in a
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,13 +82,6 @@ class Oracle:
         # positions beyond the grid wrap onto the profile
         return float(self._kappa_flat[linear_pos % self._n])
 
-    def _pos_key(self, linear_pos: int, conditional: bool) -> int:
-        mix64, mask = _kernels_py.mix64, _kernels_py.MASK64
-        key = mix64((self.cfg.seed ^ mix64(linear_pos * POS_SALT & mask)) & mask)
-        if not conditional:
-            key = mix64(key ^ UNCOND_SALT)
-        return key
-
     def logits_at(self, linear_pos: int, prefix_tokens: Sequence[int],
                   prefix_indices: Optional[Sequence[int]] = None,
                   conditional: bool = True,
@@ -121,59 +114,83 @@ class Oracle:
         return _kernels_py.prefix_fold(toks[keep].astype(np.uint64),
                                        idxs[keep].astype(np.uint64))
 
-    def _row_args(self, linear_pos: int, digest: int, conditional: bool,
-                  kappa: Optional[float]) -> Tuple[int, int, int, float]:
-        """Kernel inputs for one row: position key, context key, target
-        token and logit gap."""
-        if linear_pos < 0:
+    def _row_inputs(self, pos: np.ndarray, conditional: bool, kappas=None):
+        """(position keys, targets, gaps) of the rows of one query kind at
+        the int64 positions ``pos``, which are checked: every kernel input
+        but the context keys, in array arithmetic. ``kappas`` overrides the
+        profile lookup per row."""
+        if pos.shape[0] and pos.min() < 0:
             raise ValueError("position out of range")
-        pk = self._pos_key(linear_pos, conditional)
-        ctx = _kernels_py.mix64(pk ^ digest) \
-            if self.cfg.context_sensitivity != 0.0 else 0
-        if kappa is None:
-            kappa = self.kappa_at(linear_pos)
-        return pk, ctx, pk % self.cfg.vocab, GAP_MAX * kappa
-
-    def logits_from_digest(self, linear_pos: int, digest: int,
-                           conditional: bool = True,
-                           kappa: Optional[float] = None,
-                           noise: Optional[np.ndarray] = None) -> np.ndarray:
-        """As logits_at, but with the conditioning digest precomputed.
-
-        This is the one-row case of ``logits_rows``, run by the one-row
-        kernel ``raw_logits``; decoders that score several positions at once
-        call the batched query instead. ``noise`` is this position's row of
-        ``position_noise``, read, never written.
-        """
-        pk, ctx, tstar, gap = self._row_args(linear_pos, digest, conditional,
-                                             kappa)
-        return _kernels_py.raw_logits(pk, ctx, self.cfg.context_sensitivity,
-                                      self.cfg.vocab, tstar, gap, noise)
-
-    def _pos_keys(self, pos: np.ndarray, conditional: bool) -> np.ndarray:
-        """``_pos_key`` of every position of an int64 array, in array
-        arithmetic."""
         U, mix = np.uint64, _kernels_py._mix64_vec
         pk = mix(U(self.cfg.seed & _kernels_py.MASK64)
                  ^ mix(pos.astype(U) * U(POS_SALT)))
         if not conditional:
             pk = mix(pk ^ U(UNCOND_SALT))
-        return pk
+        if kappas is None:
+            kappas = self._kappa_flat[pos % self._n]
+        return (pk, pk % U(self.cfg.vocab),
+                GAP_MAX * np.asarray(kappas, dtype=np.float64))
+
+    def position_inputs(self, positions: Sequence[int],
+                        kinds: Sequence[bool] = (True, False),
+                        kappas: Optional[Sequence[float]] = None) -> List:
+        """The prefix-free inputs of ``logits_kinds`` at each position: a
+        tuple (keys, targets, gaps, noise) with one entry per query kind of
+        ``kinds`` (True is conditional). Keys, targets and gaps are lists of
+        Python numbers; noise is the position's [k, V] ``position_noise``,
+        hashed for every position and kind in one kernel call.
+        """
+        pos = np.asarray(positions, dtype=np.int64)
+        pk, tstars, gaps = (np.stack(col, axis=1) for col in zip(
+            *(self._row_inputs(pos, kind, kappas) for kind in kinds)))
+        noise = _kernels_py.raw_logits_rows(
+            pk.reshape(-1), None, self.cfg.context_sensitivity,
+            self.cfg.vocab).reshape(pos.shape[0], len(kinds), -1)
+        return list(zip(pk.tolist(), tstars.tolist(), gaps.tolist(), noise))
+
+    def logits_kinds(self, linear_pos: int, digest: int,
+                     kinds: Sequence[bool] = (True, False),
+                     kappa: Optional[float] = None,
+                     inputs: Optional[Tuple] = None) -> np.ndarray:
+        """[k, V] logits of one position conditioned on ``digest``, a row
+        per query kind of ``kinds``: under guidance, the conditional and
+        unconditional pair in one call of the kernel ``raw_logits``.
+
+        ``inputs`` is the position's entry of ``position_inputs`` for these
+        kinds, read, never written; without it the query derives the entry,
+        with ``kappa`` overriding the profile. Only the context keys depend
+        on the prefix, one Python ``mix64`` per row.
+        """
+        if inputs is None:
+            inputs = self.position_inputs(
+                [linear_pos], kinds, None if kappa is None else [kappa])[0]
+        keys, tstars, gaps, noise = inputs
+        mix64 = _kernels_py.mix64
+        return _kernels_py.raw_logits(
+            None, [mix64(pk ^ digest) for pk in keys],
+            self.cfg.context_sensitivity, self.cfg.vocab, tstars, gaps, noise)
+
+    def logits_from_digest(self, linear_pos: int, digest: int,
+                           conditional: bool = True,
+                           kappa: Optional[float] = None) -> np.ndarray:
+        """As logits_at, but with the conditioning digest precomputed: the
+        one-kind case of ``logits_kinds``. Decoders that score several
+        positions at once call the batched query instead."""
+        return self.logits_kinds(linear_pos, digest, (conditional,),
+                                 kappa)[0]
 
     def position_noise(self, positions: Sequence[int],
                        conditional: bool = True) -> np.ndarray:
         """[N, V] prefix-independent half of the logits rows of
         ``positions``: ``(1 - c) * u`` of each position key.
 
-        Passed back as ``noise`` to ``logits_rows`` (or a row of it to
-        ``logits_from_digest``), it saves that query the position hash. The
-        queries only read it, so one array serves any number of them.
+        Passed back as ``noise`` to ``logits_rows``, it saves that query the
+        position hash. The query only reads it, so one array serves any
+        number of them.
         """
         pos = np.asarray(positions, dtype=np.int64)
-        if pos.shape[0] and pos.min() < 0:
-            raise ValueError("position out of range")
         return _kernels_py.raw_logits_rows(
-            self._pos_keys(pos, conditional), None,
+            self._row_inputs(pos, conditional)[0], None,
             self.cfg.context_sensitivity, self.cfg.vocab)
 
     def logits_rows(self, positions: Sequence[int], digests,
@@ -193,33 +210,26 @@ class Oracle:
         the same query kind, ``position_noise(range(M))`` with M above
         every position: the query reads row p of it for position p and
         never writes it, so a decoder hashes its grid's noise once. Every
-        row's position key, context key, target and gap are derived with
-        array operations: the wrapping 64-bit arithmetic that ``_row_args``
-        does on Python ints for the one-row query. ``raw_logits_rows`` is
-        bit-identical to ``raw_logits``, so row n equals
+        row's kernel inputs are derived with array operations, as for
+        ``logits_kinds``, and ``raw_logits_rows`` is bit-identical to
+        ``raw_logits``, so row n equals
         ``logits_from_digest(positions[n], digests[n])``.
         """
         cfg = self.cfg
         pos = np.asarray(positions, dtype=np.int64)
         n = pos.shape[0]
-        U = np.uint64
-        digests = np.asarray(digests, dtype=U)
+        digests = np.asarray(digests, dtype=np.uint64)
         if digests.ndim and digests.shape != (n,):
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
-        if n and pos.min() < 0:
-            raise ValueError("position out of range")
         if noise is not None and (noise.ndim != 2
                                   or noise.shape[1] != cfg.vocab
                                   or n and pos.max() >= noise.shape[0]):
             raise ValueError("noise must have a row for every position")
-        pk = self._pos_keys(pos, conditional)
+        pk, tstars, gaps = self._row_inputs(pos, conditional, kappas)
         ctx = _kernels_py._mix64_vec(pk ^ digests) \
             if cfg.context_sensitivity != 0.0 else None
-        if kappas is None:
-            kappas = self._kappa_flat[pos % self._n]
-        gaps = GAP_MAX * np.asarray(kappas, dtype=np.float64)
         return _kernels_py.raw_logits_rows(
-            pk, ctx, cfg.context_sensitivity, cfg.vocab, pk % U(cfg.vocab),
-            gaps, noise, pos)
+            pk, ctx, cfg.context_sensitivity, cfg.vocab, tstars, gaps, noise,
+            pos)

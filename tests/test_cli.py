@@ -141,8 +141,9 @@ QUERY_CONFIGS = [
     # next-token at context 0: one query per grid, or a shorter length
     dict(mode="next-token", length=7),
     dict(mode="next-token", length=45),
-    # under context one row per token
+    # under context one row per token and query kind: two under guidance
     dict(mode="next-token", context_sensitivity=0.5),
+    dict(mode="next-token", context_sensitivity=0.5, cfg_scale=1.0),
     dict(mode="mask", steps=4),
     dict(mode="scale"),
     # the largest scale is not the last one
@@ -158,27 +159,27 @@ class TestSizeLimits:
     def test_query_limit_is_the_largest_query(self, monkeypatch, keys):
         # The limit must admit exactly the logits of the largest query the
         # decoders make, so the check and the decoders' batching cannot
-        # drift apart. It bounds logits_rows and logits_from_digest only:
-        # next-token's position-noise chunks under context are bounded by
+        # drift apart. It bounds logits_rows and logits_kinds only:
+        # next-token's position-input chunks under context are bounded by
         # the kernel block (_kernels_py._BLOCK_ELEMS), not by this check.
-        cfg = RunConfig(vocab=8, height=4, width=5, seed=1, cfg_scale=1.5,
-                        **keys)
+        cfg = RunConfig(**{"vocab": 8, "height": 4, "width": 5, "seed": 1,
+                           "cfg_scale": 1.5, **keys})
         largest = 0
         rows_query = Oracle.logits_rows
-        one_row_query = Oracle.logits_from_digest
+        kinds_query = Oracle.logits_kinds
 
         def logits_rows(self, positions, *args, **kwargs):
             nonlocal largest
             largest = max(largest, len(positions) * self.cfg.vocab)
             return rows_query(self, positions, *args, **kwargs)
 
-        def logits_from_digest(self, *args, **kwargs):
+        def logits_kinds(self, pos, digest, kinds, *args, **kwargs):
             nonlocal largest
-            largest = max(largest, self.cfg.vocab)
-            return one_row_query(self, *args, **kwargs)
+            largest = max(largest, len(kinds) * self.cfg.vocab)
+            return kinds_query(self, pos, digest, kinds, *args, **kwargs)
 
         monkeypatch.setattr(Oracle, "logits_rows", logits_rows)
-        monkeypatch.setattr(Oracle, "logits_from_digest", logits_from_digest)
+        monkeypatch.setattr(Oracle, "logits_kinds", logits_kinds)
         run(cfg)
         assert largest > 0
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest)

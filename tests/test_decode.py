@@ -31,11 +31,10 @@ class CountingOracle:
     def _count(self, conditional):
         self.uncond += not conditional
 
-    def logits_from_digest(self, pos, digest, conditional=True, kappa=None,
-                           noise=None):
-        self._count(conditional)
-        return self.oracle.logits_from_digest(pos, digest, conditional, kappa,
-                                              noise)
+    def logits_kinds(self, pos, digest, kinds, kappa=None, inputs=None):
+        for conditional in kinds:
+            self._count(conditional)
+        return self.oracle.logits_kinds(pos, digest, kinds, kappa, inputs)
 
     def logits_rows(self, positions, digests, conditional=True, kappas=None,
                     noise=None):
@@ -129,6 +128,30 @@ class TestJacobiExactLaw:
         observed = np.append(counts[common], counts[~common].sum())
         expected = np.append(expected[common], expected[~common].sum())
         assert sstats.chisquare(observed, expected).pvalue > 1e-3
+
+
+class TestNextTokenKernelCalls:
+    @pytest.mark.parametrize("cfg_scale", [1.0, 1.5])
+    def test_one_kernel_call_per_token(self, monkeypatch, cfg_scale):
+        # under context each token's query kinds share one one-row kernel
+        # call, with or without guidance
+        calls = 0
+        kernel = _kernels_py.raw_logits
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels_py, "raw_logits", counted)
+        oracle = Oracle(OracleConfig(vocab=16, shape=(4, 4), seed=1,
+                                     context_sensitivity=0.5))
+        length = 40
+        tokens, _, _ = next_token_generate(oracle, length, preset("llamagen"),
+                                           RngStream(2), top_k=4,
+                                           cfg_scale=cfg_scale)
+        assert len(tokens) == length
+        assert calls == length
 
 
 class TestNextTokenLongGolden:

@@ -66,6 +66,19 @@ class TestEntropy:
         with pytest.raises(ValueError, match="invalid distribution"):
             dist.entropy([-0.1, 1.1])
 
+    @given(arrays(np.float64, st.integers(1, 70),
+                  elements=st.sampled_from([0.0, 1e-300]) | st.floats(
+                      1e-6, 1.0)))
+    def test_sum_over_the_support(self, raw):
+        # bit for bit the sum over the positive entries, whether or not
+        # any entry is zero
+        p = raw / raw.sum() if raw.sum() > 0 else raw
+        nz = p[p > 0.0]
+        want = -(nz * np.log(nz)).sum()
+        got = dist.support_entropy(p)
+        assert np.array_equal(np.float64(got).view(np.int64),
+                              np.float64(want).view(np.int64))
+
     @given(arrays(np.float64, st.integers(2, 32),
                   elements=st.floats(1e-6, 1.0)))
     def test_bounds(self, raw):
@@ -382,6 +395,19 @@ class TestCfgCombine:
     def test_excluded_rejected(self):
         with pytest.raises(ValueError):
             dist.cfg_combine([1.0, dist.EXCLUDED], [0.0, 0.0], 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["cond", "uncond"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_nonfinite_rejected(self, bad, side, stacked):
+        # every non-finite entry, in either input, of a row or a stack
+        pair = {"cond": np.array([1.0, 2.0, 3.0]),
+                "uncond": np.array([0.5, 0.0, -1.0])}
+        if stacked:
+            pair = {key: np.stack([x, x + 1.0]) for key, x in pair.items()}
+        pair[side].reshape(-1)[-2] = bad
+        with pytest.raises(ValueError, match="guidance inputs"):
+            dist.cfg_combine(pair["cond"], pair["uncond"], 1.5)
 
 
 class TestSampleCategorical:

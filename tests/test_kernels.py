@@ -232,6 +232,17 @@ class TestRawLogitsMatchesReference:
             assert np.array_equal(noise[i].view(np.int64), kept.view(np.int64))
             assert np.array_equal(row.view(np.int64),
                                   k.raw_logits(*args).view(np.int64))
+        # k-element keys, targets and gaps with [k, V] noise: the rows of
+        # one call, each its row of the batched kernel
+        for rows in ([0, n - 1], [n // 2]) if n else ():
+            kept = noise[rows]
+            got = k.raw_logits(None, [int(ctx[i]) for i in rows], c, vocab,
+                               [int(tstars[i]) for i in rows],
+                               [float(gaps[i]) for i in rows], kept)
+            assert np.array_equal(got.view(np.int64),
+                                  want[rows].view(np.int64))
+            assert np.array_equal(kept.view(np.int64),
+                                  noise[rows].view(np.int64))
 
 
 def split_ties():

@@ -216,6 +216,55 @@ class TestRunningDigest:
             == [make().digest_of([])]
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestLogitsKinds:
+    @settings(max_examples=150, deadline=None)
+    @given(vocab=st.sampled_from([2, 16, 64]),
+           c=st.sampled_from([0.3, 0.5, 1.0]),
+           kinds=st.sampled_from([(True, False), (True,), (False,)]),
+           seed=st.integers(0, (1 << 64) - 1),
+           data=st.data())
+    def test_kinds_equal_one_kind_queries(self, vocab, c, kinds, seed, data):
+        # one query for the guidance pair gives each kind's row bit for
+        # bit, whether it derives its prefix-free inputs or reads them from
+        # a chunk; the chunk starts anywhere, so positions wrap the grid
+        prof = (np.arange(15) * 7 % 11 / 10).reshape(3, 5)
+        o = Oracle(OracleConfig(vocab=vocab, shape=(3, 5), profile=prof,
+                                seed=seed, context_sensitivity=c))
+        start = data.draw(st.integers(0, 1 << 20))
+        span = range(start, start + data.draw(st.integers(1, 40)))
+        K = data.draw(st.none() | st.lists(
+            st.floats(0.0, 1.0), min_size=len(span), max_size=len(span)))
+        chunk = o.position_inputs(span, kinds, K)
+        noise = np.stack([entry[3] for entry in chunk])
+        before = noise.copy()
+        i = data.draw(st.integers(0, len(span) - 1))
+        d = data.draw(st.integers(0, (1 << 64) - 1))
+        kappa = None if K is None else K[i]
+        want = [o.logits_from_digest(span[i], d, kind, kappa)
+                for kind in kinds]
+        rows = [o.logits_rows([span[i]], [d], kind,
+                              None if K is None else [kappa])[0]
+                for kind in kinds]
+        for got in (o.logits_kinds(span[i], d, kinds, kappa),
+                    o.logits_kinds(span[i], d, kinds, inputs=chunk[i])):
+            assert got.shape == (len(kinds), vocab)
+            for r in range(len(kinds)):
+                assert same_bits(got[r], want[r])
+                assert same_bits(got[r], rows[r])
+        assert same_bits(chunk[i][3], before[i])
+
+    def test_invalid_position(self):
+        with pytest.raises(ValueError, match="position out of range"):
+            make().logits_kinds(-1, 0)
+        with pytest.raises(ValueError, match="position out of range"):
+            make().position_inputs([3, -1])
+
+
 class TestLogitsRows:
     @pytest.mark.parametrize("c", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("conditional", [True, False])
