@@ -19,9 +19,10 @@ row from it, skip the position hash and add the context term and the gap
 in the usual order, so the row is the same bit for bit. The batched kernel
 gathers each block's rows of it (``noise_rows``) into its output itself.
 Mask decoding hashes the position noise of the whole grid once and reads
-the open rows of it at every step; next-token decoding under context
-hashes it a chunk of positions at a time, both query kinds together, and
-passes each token's [k, V] rows to one ``raw_logits`` call.
+the open rows of it at every step; next-token and Jacobi decoding under
+context hash it a chunk of positions at a time, both query kinds
+together: next-token decoding passes each token's [k, V] rows to one
+``raw_logits`` call, and a Jacobi window reads its rows of the chunk.
 
 Turning a hash into a float is the kernel's slow lane: numpy casts uint64
 to float64 at about 7 ns a value on a 32,768-value block, against 1 ns for
@@ -132,6 +133,12 @@ def pair_hashes(tokens, indices) -> np.ndarray:
     return _mix64_vec(t * _FOLD_TOK_U + i * _FOLD_IDX_U)
 
 
+def _pair_hash(token: int, index: int) -> int:
+    """``pair_hashes`` of one pair, in Python ints: a fraction of the
+    array round trip."""
+    return mix64((int(token) * FOLD_TOK + int(index) * FOLD_IDX) & MASK64)
+
+
 class RunningDigest:
     """The one running form of the conditioning fold: mix64 of FOLD_INIT
     XOR the hashes of every (token, index) pair appended so far.
@@ -152,23 +159,38 @@ class RunningDigest:
 
     def append(self, tokens, indices) -> None:
         if len(tokens) == 1:
-            # one pair, as sequential decoding appends: plain ints cost a
-            # fraction of the array round trip
-            z = int(tokens[0]) * FOLD_TOK + int(indices[0]) * FOLD_IDX
-            self.acc ^= mix64(z & MASK64)
+            # one pair, as sequential decoding appends
+            self.acc ^= _pair_hash(tokens[0], indices[0])
             return
         self.acc ^= int(np.bitwise_xor.reduce(pair_hashes(tokens, indices)))
 
     def digest(self) -> int:
         return mix64(self.acc)
 
-    def continuation_digests(self, tokens, indices) -> List[int]:
-        """Digests after appending the first i pairs, for i = 0..n; the
-        running digest itself is left unchanged."""
+    def continuation(self, tokens, indices) -> np.ndarray:
+        """The folds after appending the first i pairs, for i = 0..n, as
+        uint64: the digest after i pairs is mix64 of entry i. The running
+        digest is left unchanged; ``advance`` moves it to an entry."""
         h = pair_hashes(tokens, indices)
         x = np.zeros(h.shape[0] + 1, dtype=np.uint64)
         np.bitwise_xor.accumulate(h, out=x[1:])
-        return _mix64_vec(x ^ _U(self.acc)).tolist()
+        x ^= _U(self.acc)
+        return x
+
+    def continuation_digests(self, tokens, indices) -> List[int]:
+        """Digests after appending the first i pairs, for i = 0..n; the
+        running digest itself is left unchanged."""
+        return _mix64_vec(self.continuation(tokens, indices)).tolist()
+
+    def advance(self, fold, token: Optional[int] = None,
+                index: Optional[int] = None) -> None:
+        """Move to ``fold``, an entry of ``continuation``, then append the
+        pair (token, index) if one is given: a Jacobi window commits its
+        accepted drafts and its tail token this way, hashing each pair
+        once."""
+        self.acc = int(fold)
+        if token is not None:
+            self.acc ^= _pair_hash(token, index)
 
 
 def prefix_fold(tokens: np.ndarray, indices: np.ndarray) -> int:
@@ -272,17 +294,21 @@ def raw_logits(pos_key, ctx_key, c: float, vocab: int, tstar, gap,
 
     The unblocked kernel for the rows of one position, on the same noise
     helper as ``raw_logits_rows`` but with no index arrays. Scalar keys,
-    target and gap give one 1-D row; k-element context keys, targets and
-    gaps with [k, V] ``noise`` give its k query kinds' rows (k <= 2, the
-    guidance pair). ``noise``, rows of ``raw_logits_rows``'s position
-    noise, is read as there: the rows start from a copy of it.
+    target and gap give one 1-D row; k-element keys, targets and gaps give
+    its k query kinds' rows (k <= 2, the guidance pair). ``noise``, [k, V]
+    rows of ``raw_logits_rows``'s position noise, is read as there: the
+    rows start from a copy of it, and ``pos_key`` is not hashed.
     """
-    out = np.empty(vocab) if noise is None else noise.copy()
+    if noise is None:
+        keys = np.array(pos_key, dtype=np.uint64)
+        out = np.empty(keys.shape + (vocab,))
+        keys = keys[..., None]  # one position key per row
+    else:
+        out, keys = noise.copy(), None
     # one context key per row
     ctx = np.array(ctx_key, dtype=np.uint64).reshape(out.shape[:-1] + (1,))
     z = np.empty(out.shape, dtype=np.uint64)
-    _noise_into(out, None if noise is not None else _U(pos_key), ctx, c, z,
-                np.empty_like(z))
+    _noise_into(out, keys, ctx, c, z, np.empty_like(z))
     if out.ndim == 1:
         out[tstar] += gap
     else:

@@ -22,39 +22,39 @@ from entropix.temperature import TempParams, pipeline_probs
 def score(oracle: Oracle, positions, digests, tp: TempParams,
           top_k: Optional[int] = None, top_p: Optional[float] = None,
           cfg_scale: float = 1.0, kappas=None,
-          adjust_temperature: Optional[Callable] = None, noise=None):
+          adjust_temperature: Optional[Callable] = None, inputs=None):
     """(probs, entropy, applied temperature) of positions conditioned on
     their prefix digests; the unconditional query runs only under guidance.
 
     A sequence of positions is one batched query (``Oracle.logits_rows``)
     per query kind, one row per position; ``digests`` is one digest per
     position, or one int that every position shares (mask, scale and
-    next-token decoding without context pass it once). ``noise`` is then
-    the (conditional, unconditional) ``Oracle.position_noise`` tables the
-    queries read, or None for them to hash their own. A single int
-    position, digest and kappa is the one-row case: one query of both
-    kinds (``Oracle.logits_kinds``) and the 1-D pipeline, returning a
-    probability vector and two scalars. ``noise`` is then the position's
-    ``Oracle.position_inputs`` entry for those kinds, or None.
+    next-token decoding without context pass it once). ``inputs`` is then
+    an ``Oracle.position_inputs`` span of the positions and the query
+    kinds that both queries read, or None for them to derive their own. A
+    single int position, digest and kappa is the one-row case: one query of
+    both kinds (``Oracle.logits_kinds``) and the 1-D pipeline, returning a
+    probability vector and two scalars. ``inputs`` is then the position's
+    entry of ``PositionInputs.rows`` for those kinds, or None.
     """
     guided = cfg_scale != 1.0
     if isinstance(positions, (int, np.integer)):
-        logits = oracle.logits_kinds(positions, digests, _KINDS[guided],
-                                     kappas, noise)
+        logits = oracle.logits_kinds(positions, digests,
+                                     query_kinds(cfg_scale), kappas, inputs)
         uncond = logits[1] if guided else None
         logits = logits[0]
     else:
-        cond_noise, uncond_noise = noise or (None, None)
-        logits = oracle.logits_rows(positions, digests, True, kappas,
-                                    cond_noise)
+        logits = oracle.logits_rows(positions, digests, True, kappas, inputs)
         uncond = oracle.logits_rows(positions, digests, False, kappas,
-                                    uncond_noise) if guided else None
+                                    inputs) if guided else None
     return pipeline_probs(logits, uncond, cfg_scale, tp, top_k, top_p,
                           adjust_temperature)
 
 
-# the query kinds of one position, by whether guidance is on
-_KINDS = {False: (True,), True: (True, False)}
+def query_kinds(cfg_scale: float):
+    """The query kinds ``score`` makes at this guidance scale (True is
+    conditional): the unconditional one only under guidance."""
+    return (True, False) if cfg_scale != 1.0 else (True,)
 
 
 def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
@@ -89,13 +89,14 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
             temps.extend(t.tolist())
         return tokens, eps_list, temps
     running = RunningDigest()
-    kinds = _KINDS[cfg_scale != 1.0]
+    kinds = query_kinds(cfg_scale)
     chunk = max(1, _BLOCK_ELEMS // oracle.cfg.vocab)
     for start in range(0, length, chunk):
         span = range(start, min(start + chunk, length))
-        for pos, inputs in zip(span, oracle.position_inputs(span, kinds)):
+        for pos, inputs in zip(span,
+                               oracle.position_inputs(span, kinds).rows()):
             probs, eps, t = score(oracle, pos, running.digest(), tp, top_k,
-                                  top_p, cfg_scale, noise=inputs)
+                                  top_p, cfg_scale, inputs=inputs)
             token = dist.sample_categorical(probs, rng)
             running.append((token,), (pos,))
             tokens.append(token)

@@ -282,7 +282,13 @@ def cfg_combine(cond, uncond, scale: float) -> np.ndarray:
 def sample_categorical(probs, rng: RngStream) -> int:
     """Inverse-CDF draw over ascending index order (bit-exact contract)."""
     p = validate_probs(probs)
-    u = rng.uniform()
+    return inverse_cdf(p, rng.uniform())
+
+
+def inverse_cdf(p: np.ndarray, u: float) -> int:
+    """The index that the uniform ``u`` selects from ``p``, a validated
+    probability vector: ``sample_categorical``'s draw with its uniform
+    supplied."""
     cum = p.cumsum()
     idx = int(cum.searchsorted(u, side="right"))
     # guard the top edge: cum[-1] may be 1 - eps, and trailing zero-mass
@@ -299,10 +305,10 @@ def sample_rows(probs, u) -> np.ndarray:
     uniform supplied: row n draws with u[n].
 
     Vectorized over rows, with the same top-edge and zero-mass guards.
-    ``sample_categorical`` stays a scalar form of its own because decoders
-    whose draws depend on earlier draws (next-token decoding, the Jacobi
-    accept loop) draw one token at a time, and the row-wise form costs a
-    single draw about twice as much.
+    ``sample_categorical`` and its core ``inverse_cdf`` stay a scalar form
+    of their own because draws that depend on earlier draws (next-token
+    decoding, a Jacobi window's tail token) come one token at a time, and
+    the row-wise form costs a single draw about twice as much.
     """
     p = np.asarray(probs, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from entropix import dist
-from entropix.decode import score
+from entropix.decode import query_kinds, score
 from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
 from entropix.temperature import TempParams
@@ -118,10 +118,11 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     they share the digest of the frozen grid, which a ``RunningDigest``
     keeps by appending each step's newly accepted pairs, and the query
     takes that one digest for all of them. Only the context half of a
-    logits row depends on it: the position half of every grid position is
-    hashed once, before the first step (``Oracle.position_noise``,
-    conditional and, under guidance, unconditional), and each step's
-    queries read the open rows of it. It then draws 2 uniforms per open
+    logits row depends on it: the rest of every grid position's inputs,
+    its position noise included, is derived once, before the first step
+    (``Oracle.position_inputs``, conditional and, under guidance,
+    unconditional), and each step's queries read the open rows of it. It
+    then draws 2 uniforms per open
     position in row-major order: the token's inverse-CDF uniform, then its
     Gumbel uniform.
 
@@ -144,14 +145,12 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     temps: List[float] = []
     history = [state]
     running = RunningDigest()  # the accepted (token, position) pairs
-    grid = np.arange(h * w)
-    noise = (oracle.position_noise(grid, True),
-             oracle.position_noise(grid, False) if cfg_scale != 1.0 else None)
+    inputs = oracle.position_inputs(range(h * w), query_kinds(cfg_scale))
     for k_t in schedule.counts:
         open_pos = np.flatnonzero(~state.accepted)
         n = open_pos.shape[0]
         probs, eps, t = score(oracle, open_pos, running.digest(), tp, top_k,
-                              top_p, cfg_scale, noise=noise)
+                              top_p, cfg_scale, inputs=inputs)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
         drafted = dist.sample_rows(probs, u[:, 0])
         conf[open_pos] = confidence_rows(probs[np.arange(n), drafted], t,

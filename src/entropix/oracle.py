@@ -10,8 +10,9 @@ stationary and prefix-independent. Decoders keep that digest in a
 ``digest_of`` folds a whole prefix at once.
 """
 
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,39 +115,56 @@ class Oracle:
         return _kernels_py.prefix_fold(toks[keep].astype(np.uint64),
                                        idxs[keep].astype(np.uint64))
 
-    def _row_inputs(self, pos: np.ndarray, conditional: bool, kappas=None):
+    def _row_inputs(self, pos, conditional: bool, kappas=None):
         """(position keys, targets, gaps) of the rows of one query kind at
-        the int64 positions ``pos``, which are checked: every kernel input
-        but the context keys, in array arithmetic. ``kappas`` overrides the
-        profile lookup per row."""
-        if pos.shape[0] and pos.min() < 0:
-            raise ValueError("position out of range")
-        U, mix = np.uint64, _kernels_py._mix64_vec
-        pk = mix(U(self.cfg.seed & _kernels_py.MASK64)
-                 ^ mix(pos.astype(U) * U(POS_SALT)))
+        the positions ``pos``, which are checked: every kernel input but
+        the context keys. ``pos`` is an int64 array, derived in array
+        arithmetic, or one int, derived by the same steps in Python ints
+        (the kernels' scalar ``mix64`` for their ``_mix64_vec``), which
+        costs a fraction of a one-element array. ``kappas`` overrides the
+        profile lookup per row, or is the one row's kappa."""
+        if isinstance(pos, int):
+            if pos < 0:
+                raise ValueError("position out of range")
+            # mix64 reduces its argument mod 2^64, as the array wraps
+            mix, key = _kernels_py.mix64, pos * POS_SALT
+            if kappas is None:
+                kappas = float(self._kappa_flat[pos % self._n])
+            gaps = GAP_MAX * kappas
+        else:
+            if pos.shape[0] and pos.min() < 0:
+                raise ValueError("position out of range")
+            mix = _kernels_py._mix64_vec
+            key = pos.astype(np.uint64) * np.uint64(POS_SALT)
+            if kappas is None:
+                kappas = self._kappa_flat[pos % self._n]
+            gaps = GAP_MAX * np.asarray(kappas, dtype=np.float64)
+        pk = mix((self.cfg.seed & _kernels_py.MASK64) ^ mix(key))
         if not conditional:
-            pk = mix(pk ^ U(UNCOND_SALT))
-        if kappas is None:
-            kappas = self._kappa_flat[pos % self._n]
-        return (pk, pk % U(self.cfg.vocab),
-                GAP_MAX * np.asarray(kappas, dtype=np.float64))
+            pk = mix(pk ^ UNCOND_SALT)
+        return pk, pk % self.cfg.vocab, gaps
 
-    def position_inputs(self, positions: Sequence[int],
+    def position_inputs(self, positions: range,
                         kinds: Sequence[bool] = (True, False),
-                        kappas: Optional[Sequence[float]] = None) -> List:
-        """The prefix-free inputs of ``logits_kinds`` at each position: a
-        tuple (keys, targets, gaps, noise) with one entry per query kind of
-        ``kinds`` (True is conditional). Keys, targets and gaps are lists of
-        Python numbers; noise is the position's [k, V] ``position_noise``,
-        hashed for every position and kind in one kernel call.
+                        kappas: Optional[Sequence[float]] = None
+                        ) -> "PositionInputs":
+        """The prefix-free inputs of the rows at the consecutive
+        ``positions``, one table per query kind of ``kinds`` (True is
+        conditional): the one derivation that ``logits_rows`` and
+        ``logits_kinds`` read instead of deriving their own. Every kind's
+        position noise is hashed in one kernel call. ``kappas`` overrides
+        the profile lookup per position.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        pk, tstars, gaps = (np.stack(col, axis=1) for col in zip(
+        if positions.step != 1:
+            raise ValueError("positions must be consecutive")
+        pos = np.arange(positions.start, positions.stop, dtype=np.int64)
+        pk, tstars, gaps = (np.stack(col) for col in zip(
             *(self._row_inputs(pos, kind, kappas) for kind in kinds)))
         noise = _kernels_py.raw_logits_rows(
             pk.reshape(-1), None, self.cfg.context_sensitivity,
-            self.cfg.vocab).reshape(pos.shape[0], len(kinds), -1)
-        return list(zip(pk.tolist(), tstars.tolist(), gaps.tolist(), noise))
+            self.cfg.vocab).reshape(len(kinds), pos.shape[0], -1)
+        return PositionInputs(positions.start, tuple(kinds), pk, tstars,
+                              gaps, noise)
 
     def logits_kinds(self, linear_pos: int, digest: int,
                      kinds: Sequence[bool] = (True, False),
@@ -156,18 +174,23 @@ class Oracle:
         per query kind of ``kinds``: under guidance, the conditional and
         unconditional pair in one call of the kernel ``raw_logits``.
 
-        ``inputs`` is the position's entry of ``position_inputs`` for these
-        kinds, read, never written; without it the query derives the entry,
-        with ``kappa`` overriding the profile. Only the context keys depend
-        on the prefix, one Python ``mix64`` per row.
+        ``inputs`` is the position's entry of ``PositionInputs.rows`` for
+        these kinds, read, never written. Without it the query derives the
+        position's keys, targets and gaps (``_row_inputs`` on one int, with
+        ``kappa`` overriding the profile), and the kernel hashes the
+        position noise itself. Only the context keys depend on
+        the prefix, one Python ``mix64`` per row.
         """
         if inputs is None:
-            inputs = self.position_inputs(
-                [linear_pos], kinds, None if kappa is None else [kappa])[0]
-        keys, tstars, gaps, noise = inputs
+            pos = operator.index(linear_pos)
+            keys, tstars, gaps = zip(*(self._row_inputs(pos, kind, kappa)
+                                       for kind in kinds))
+            noise = None
+        else:
+            keys, tstars, gaps, noise = inputs
         mix64 = _kernels_py.mix64
         return _kernels_py.raw_logits(
-            None, [mix64(pk ^ digest) for pk in keys],
+            keys, [mix64(pk ^ digest) for pk in keys],
             self.cfg.context_sensitivity, self.cfg.vocab, tstars, gaps, noise)
 
     def logits_from_digest(self, linear_pos: int, digest: int,
@@ -179,24 +202,10 @@ class Oracle:
         return self.logits_kinds(linear_pos, digest, (conditional,),
                                  kappa)[0]
 
-    def position_noise(self, positions: Sequence[int],
-                       conditional: bool = True) -> np.ndarray:
-        """[N, V] prefix-independent half of the logits rows of
-        ``positions``: ``(1 - c) * u`` of each position key.
-
-        Passed back as ``noise`` to ``logits_rows``, it saves that query the
-        position hash. The query only reads it, so one array serves any
-        number of them.
-        """
-        pos = np.asarray(positions, dtype=np.int64)
-        return _kernels_py.raw_logits_rows(
-            self._row_inputs(pos, conditional)[0], None,
-            self.cfg.context_sensitivity, self.cfg.vocab)
-
     def logits_rows(self, positions: Sequence[int], digests,
                     conditional: bool = True,
                     kappas: Optional[Sequence[float]] = None,
-                    noise: Optional[np.ndarray] = None) -> np.ndarray:
+                    inputs: Optional["PositionInputs"] = None) -> np.ndarray:
         """[N, V] logits in one query: row n is position ``positions[n]``
         conditioned on the prefix digest ``digests[n]``, or on ``digests``
         itself when it is one digest that every row shares.
@@ -206,14 +215,14 @@ class Oracle:
         single call, as one forward pass would. Mask and scale decoding
         pass one shared digest, which the array arithmetic broadcasts;
         Jacobi windows pass one digest per slot. ``kappas`` overrides the
-        profile lookup per row. ``noise`` is a table of position noise of
-        the same query kind, ``position_noise(range(M))`` with M above
-        every position: the query reads row p of it for position p and
-        never writes it, so a decoder hashes its grid's noise once. Every
-        row's kernel inputs are derived with array operations, as for
-        ``logits_kinds``, and ``raw_logits_rows`` is bit-identical to
-        ``raw_logits``, so row n equals
-        ``logits_from_digest(positions[n], digests[n])``.
+        profile lookup per row. ``inputs`` is a ``position_inputs`` span
+        that covers every position and holds this query kind: the query
+        reads its rows' keys, targets, gaps and noise from it and never
+        writes it, so only the context term is hashed, and one span serves
+        any number of queries. Otherwise every row's inputs are derived
+        with array operations, as for ``logits_kinds``, and
+        ``raw_logits_rows`` is bit-identical to ``raw_logits``, so row n
+        equals ``logits_from_digest(positions[n], digests[n])``.
         """
         cfg = self.cfg
         pos = np.asarray(positions, dtype=np.int64)
@@ -223,13 +232,50 @@ class Oracle:
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
-        if noise is not None and (noise.ndim != 2
-                                  or noise.shape[1] != cfg.vocab
-                                  or n and pos.max() >= noise.shape[0]):
-            raise ValueError("noise must have a row for every position")
-        pk, tstars, gaps = self._row_inputs(pos, conditional, kappas)
+        if inputs is None:
+            pk, tstars, gaps = self._row_inputs(pos, conditional, kappas)
+            noise = rows = None
+        else:
+            if kappas is not None:
+                raise ValueError("the inputs fix the kappas")
+            rows = pos - inputs.start
+            if n and (rows.min() < 0 or pos.max() >= inputs.stop):
+                raise ValueError("inputs must have a row for every position")
+            j = inputs.kinds.index(conditional)
+            pk, tstars, gaps = (inputs.keys[j][rows], inputs.targets[j][rows],
+                                inputs.gaps[j][rows])
+            noise = inputs.noise[j]
         ctx = _kernels_py._mix64_vec(pk ^ digests) \
             if cfg.context_sensitivity != 0.0 else None
         return _kernels_py.raw_logits_rows(
             pk, ctx, cfg.context_sensitivity, cfg.vocab, tstars, gaps, noise,
-            pos)
+            rows)
+
+
+class PositionInputs(NamedTuple):
+    """Every input of the rows at positions ``start`` to ``start + n - 1``
+    that does not depend on the prefix, one table per query kind of
+    ``kinds`` (True is conditional): position keys and targets, uint64
+    [k, n]; gaps, float64 [k, n]; and position noise, the ``(1 - c) * u``
+    half of each row, float64 [k, n, V]. Each kind's rows are contiguous,
+    so a batched query gathers them without copying the table. Made by
+    ``Oracle.position_inputs`` and only read by the queries.
+    """
+    start: int
+    kinds: Tuple[bool, ...]
+    keys: np.ndarray
+    targets: np.ndarray
+    gaps: np.ndarray
+    noise: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        """One past the span's last position."""
+        return self.start + self.keys.shape[1]
+
+    def rows(self):
+        """Per position, the ``inputs`` of ``Oracle.logits_kinds``: its
+        kinds' keys, targets and gaps as lists of Python numbers, and its
+        [k, V] noise."""
+        return zip(self.keys.T.tolist(), self.targets.T.tolist(),
+                   self.gaps.T.tolist(), self.noise.transpose(1, 0, 2))

@@ -27,5 +27,11 @@ class RngStream:
         """Uniform integer in [0, n)."""
         return int(self._gen.integers(0, n))
 
+    def integers(self, n: int, size: int) -> np.ndarray:
+        """``size`` uniform integers in [0, n) in one call: the draws of
+        ``size`` calls of ``integer(n)``, as ``uniforms`` gives those of
+        ``uniform`` (numpy behaviour that tests/test_rng.py pins)."""
+        return self._gen.integers(0, n, size=size)
+
     def __repr__(self):
         return f"RngStream(seed={self.seed})"

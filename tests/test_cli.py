@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropix import config, pgm
+from entropix._kernels_py import _BLOCK_ELEMS
 from entropix.cli import SWEEP_PARAMS, main, run
 from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
                              MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW, MODES,
@@ -151,6 +152,11 @@ QUERY_CONFIGS = [
     # Jacobi windows hold min(window, length) rows
     dict(mode="spec-entropy", window=9, length=6, context_sensitivity=0.5),
     dict(mode="spec-baseline", window=3, length=12, context_sensitivity=0.5),
+    # a large vocabulary: a Jacobi span of a block's 8 positions plus a
+    # window, and next-token chunks of 8 positions
+    dict(mode="spec-entropy", vocab=4096, window=16, length=40,
+         context_sensitivity=0.5),
+    dict(mode="next-token", vocab=4096, length=20, context_sensitivity=0.5),
 ]
 
 
@@ -159,14 +165,22 @@ class TestSizeLimits:
     def test_query_limit_is_the_largest_query(self, monkeypatch, keys):
         # The limit must admit exactly the logits of the largest query the
         # decoders make, so the check and the decoders' batching cannot
-        # drift apart. It bounds logits_rows and logits_kinds only:
-        # next-token's position-input chunks under context are bounded by
-        # the kernel block (_kernels_py._BLOCK_ELEMS), not by this check.
+        # drift apart. It bounds logits_rows (a Jacobi window's query) and
+        # logits_kinds. The position-input spans that next-token and Jacobi
+        # decoding derive ahead are not queries: per query kind they hold
+        # at most a kernel block (_kernels_py._BLOCK_ELEMS values) beyond
+        # the largest query, which is checked here too.
         cfg = RunConfig(**{"vocab": 8, "height": 4, "width": 5, "seed": 1,
                            "cfg_scale": 1.5, **keys})
-        largest = 0
+        largest = span = 0
         rows_query = Oracle.logits_rows
         kinds_query = Oracle.logits_kinds
+        span_inputs = Oracle.position_inputs
+
+        def position_inputs(self, positions, *args, **kwargs):
+            nonlocal span
+            span = max(span, len(positions) * self.cfg.vocab)
+            return span_inputs(self, positions, *args, **kwargs)
 
         def logits_rows(self, positions, *args, **kwargs):
             nonlocal largest
@@ -180,8 +194,10 @@ class TestSizeLimits:
 
         monkeypatch.setattr(Oracle, "logits_rows", logits_rows)
         monkeypatch.setattr(Oracle, "logits_kinds", logits_kinds)
+        monkeypatch.setattr(Oracle, "position_inputs", position_inputs)
         run(cfg)
         assert largest > 0
+        assert span <= largest + _BLOCK_ELEMS
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest)
         validate_config(cfg)
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest - 1)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropix import dist
+from entropix._kernels_py import mix64
 from entropix.oracle import (GAP_MAX, Oracle, OracleConfig, RunningDigest,
                              mask_token, profile_rect)
 from entropix.scales import SCALE_STRIDE
@@ -180,6 +182,19 @@ class TestRunningDigest:
         conts = running.continuation_digests(tokens[split:], index[split:])
         assert conts == [o.digest_of(tokens[:split + i])
                          for i in range(len(tokens) - split + 1)]
+        # a Jacobi window commits a prefix of its continuation's folds and
+        # then, if it has one, a tail pair
+        folds = running.continuation(tokens[split:], index[split:])
+        assert [mix64(int(f)) for f in folds] == conts
+        k = data.draw(st.integers(0, len(tokens) - split))
+        tail = data.draw(st.none() | st.integers(0, 63))
+        ahead = copy.copy(running)
+        if tail is None:
+            ahead.advance(folds[k])
+        else:
+            ahead.advance(folds[k], tail, split + k)
+        assert ahead.digest() == o.digest_of(
+            tokens[:split + k] + ([] if tail is None else [tail]))
         running.append(tokens[split:], index[split:])
         assert running.digest() == o.digest_of(tokens)
         # one token at a time, as sequential decoding appends
@@ -240,8 +255,7 @@ class TestLogitsKinds:
         K = data.draw(st.none() | st.lists(
             st.floats(0.0, 1.0), min_size=len(span), max_size=len(span)))
         chunk = o.position_inputs(span, kinds, K)
-        noise = np.stack([entry[3] for entry in chunk])
-        before = noise.copy()
+        before = chunk.noise.copy()
         i = data.draw(st.integers(0, len(span) - 1))
         d = data.draw(st.integers(0, (1 << 64) - 1))
         kappa = None if K is None else K[i]
@@ -250,19 +264,26 @@ class TestLogitsKinds:
         rows = [o.logits_rows([span[i]], [d], kind,
                               None if K is None else [kappa])[0]
                 for kind in kinds]
+        entry = list(chunk.rows())[i]
         for got in (o.logits_kinds(span[i], d, kinds, kappa),
-                    o.logits_kinds(span[i], d, kinds, inputs=chunk[i])):
+                    o.logits_kinds(span[i], d, kinds, inputs=entry)):
             assert got.shape == (len(kinds), vocab)
             for r in range(len(kinds)):
                 assert same_bits(got[r], want[r])
                 assert same_bits(got[r], rows[r])
-        assert same_bits(chunk[i][3], before[i])
+        # the batched query reads the same span, its kappas included
+        for r, kind in enumerate(kinds):
+            assert same_bits(o.logits_rows([span[i]], [d], kind,
+                                           inputs=chunk)[0], want[r])
+        assert same_bits(chunk.noise, before)
 
     def test_invalid_position(self):
         with pytest.raises(ValueError, match="position out of range"):
             make().logits_kinds(-1, 0)
         with pytest.raises(ValueError, match="position out of range"):
-            make().position_inputs([3, -1])
+            make().position_inputs(range(-1, 3))
+        with pytest.raises(ValueError, match="consecutive"):
+            make().position_inputs(range(0, 6, 2))
 
 
 class TestLogitsRows:
@@ -336,14 +357,14 @@ class TestLogitsRows:
         # one digest for every row is broadcast: bit for bit the rows of
         # the query that repeats it once per row
         o = make(vocab=16, c=c, kappa=0.3)
-        noise = o.position_noise(range(64), conditional) if with_noise \
-            else None
+        inputs = o.position_inputs(range(64), (conditional,)) \
+            if with_noise else None
         positions = [0, 5, 5, 63, 17]
         for d in (0, 12345, (1 << 63) + 7, (1 << 64) - 1,
                   o.digest_of([3, 1, 4])):
-            got = o.logits_rows(positions, d, conditional, noise=noise)
+            got = o.logits_rows(positions, d, conditional, inputs=inputs)
             want = o.logits_rows(positions, [d] * len(positions),
-                                 conditional, noise=noise)
+                                 conditional, inputs=inputs)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert o.logits_rows([], 7, conditional).shape == (0, 16)
 
@@ -361,19 +382,27 @@ class TestLogitsRows:
 
     @pytest.mark.parametrize("conditional", [True, False])
     def test_noise_table_is_read_only(self, conditional):
-        # a position-noise table indexed by position, read in any order and
-        # as often as needed, gives the rows of a query that hashes its own
+        # a span of position inputs, read in any order and as often as
+        # needed, gives the rows of a query that derives its own; a span
+        # may start anywhere and hold both kinds
         o = make(vocab=16, c=0.5, kappa=0.3)
-        table = o.position_noise(range(40), conditional)
-        before = table.copy()
-        positions = [39, 0, 7, 7, 21]
+        positions = [39, 5, 7, 7, 21]
         digests = [5, 6, 7, 8, 9]
-        for _ in range(2):
-            got = o.logits_rows(positions, digests, conditional, noise=table)
-            assert np.array_equal(
-                got, o.logits_rows(positions, digests, conditional))
-        assert np.array_equal(table, before)
+        for span in (o.position_inputs(range(40), (conditional,)),
+                     o.position_inputs(range(5, 40), (True, False))):
+            before = span.noise.copy()
+            for _ in range(2):
+                got = o.logits_rows(positions, digests, conditional,
+                                    inputs=span)
+                assert np.array_equal(
+                    got, o.logits_rows(positions, digests, conditional))
+            assert np.array_equal(span.noise, before)
+            with pytest.raises(ValueError, match="a row for every position"):
+                o.logits_rows([3, 40], [0, 0], conditional, inputs=span)
         with pytest.raises(ValueError, match="a row for every position"):
-            o.logits_rows([3, 40], [0, 0], conditional, noise=table)
-        with pytest.raises(ValueError, match="a row for every position"):
-            o.logits_rows([3], [0], conditional, noise=table[:, :8])
+            o.logits_rows([4], [0], conditional, inputs=span)
+        with pytest.raises(ValueError, match="kappas"):
+            o.logits_rows([5], [0], conditional, [0.5], span)
+        with pytest.raises(ValueError):
+            o.logits_rows([5], [0], not conditional,
+                          inputs=o.position_inputs(range(40), (conditional,)))

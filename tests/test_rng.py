@@ -38,3 +38,36 @@ def test_integer_range():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStream(-1)
+
+
+# The Jacobi decoder draws a window's uniforms and its fresh drafts in one
+# call each, in place of the per-slot scalar draws its goldens were
+# recorded with. Both equalities are numpy behaviour, not an API promise,
+# so they are pinned here on the installed numpy: an upgrade that breaks
+# them fails these tests rather than moving a golden.
+
+def test_uniforms_equal_scalar_draws_interleaved():
+    a = RngStream(41)
+    b = RngStream(41)
+    got = [a.integer(64)] + list(a.uniforms(5)) + [a.integer(64)] \
+        + list(a.uniforms(1)) + [a.uniform()] + list(a.uniforms(3))
+    want = [b.integer(64)] + [b.uniform() for _ in range(5)] \
+        + [b.integer(64)] + [b.uniform() for _ in range(5)]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 64, 1000, 1 << 18])
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+def test_integers_equal_scalar_draws(n, k):
+    for seed, lead in ((0, 0), (7, 1), (12, 3)):
+        # an odd number of earlier draws leaves half a 64-bit word buffered
+        a = RngStream(seed)
+        b = RngStream(seed)
+        assert [a.integer(n) for _ in range(lead)] \
+            == [b.integer(n) for _ in range(lead)]
+        got = a.integers(n, k)
+        assert got.shape == (k,)
+        assert got.tolist() == [b.integer(n) for _ in range(k)]
+        # the stream goes on alike, for both kinds of draw
+        assert a.uniform() == b.uniform()
+        assert a.integer(n) == b.integer(n)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropix import dist, speculative
-from entropix.oracle import Oracle, OracleConfig
+from entropix.decode import score
+from entropix.oracle import Oracle, OracleConfig, RunningDigest
 from entropix.rng import RngStream
 from entropix.speculative import (BASELINE, ENTROPY_AWARE, SpecAcceptParams,
                                   baseline_accept, entropy_accept,
@@ -80,6 +81,83 @@ class TestEntropyAccept:
             SpecAcceptParams(mode="other")
         with pytest.raises(ValueError):
             entropy_threshold(-1.0, 0.5, SpecAcceptParams())
+
+
+def python_rule(p_new, p_old, r, eps, sp):
+    """One draft's accept test in Python floats, as the per-slot rule
+    computed it: the reference for the array rule."""
+    if p_old <= 0:
+        return False
+    ratio = min(1.0, p_new / p_old)
+    if eps is None:
+        return r < ratio
+    decay = (1.0 - sp.lam * eps) if sp.literal_noise_decay \
+        else (1.0 - eps / sp.lam)
+    t = min(max((eps / sp.e) * (0.5 + (r - 0.5) * decay), 0.0), 1.0)
+    return ratio > t
+
+
+_PROB = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+
+
+class TestArrayRule:
+    # a subnormal p_old can overflow p_new / p_old to inf, whose min with 1
+    # is 1, as in Python floats; numpy warns where Python is silent
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), entropy=st.booleans(),
+           sp=st.builds(SpecAcceptParams, e=st.sampled_from([4.0, 8.0, 16]),
+                        lam=st.sampled_from([2.0, 16.0]),
+                        literal_noise_decay=st.booleans()),
+           data=st.data())
+    def test_equals_the_scalar_rules(self, n, entropy, sp, data):
+        # elementwise, the array rule is the Python-float rule and its own
+        # one-element calls; drafts with p_old = 0, eps past 1/lambda
+        # (a negative literal decay) and ratios exactly at the threshold
+        # are drawn on purpose
+        p_new, p_old, r, eps = [], [], [], []
+        for _ in range(n):
+            pn, po = data.draw(_PROB), data.draw(_PROB)
+            rr = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+            ee = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+            if data.draw(st.booleans()):
+                # at the threshold: the strict tests reject there
+                if entropy:
+                    pn, po = entropy_threshold(ee, rr, sp), 1.0
+                elif po > 0 and pn / po < 1.0:
+                    rr = pn / po
+            p_new.append(pn)
+            p_old.append(po)
+            r.append(rr)
+            eps.append(ee)
+        got = speculative.accept_drafts(p_new, p_old, r,
+                                        eps if entropy else None, sp)
+        assert got.dtype == bool and got.shape == (n,)
+        for i in range(n):
+            e = eps[i] if entropy else None
+            want = python_rule(p_new[i], p_old[i], r[i], e, sp)
+            one = entropy_accept(p_new[i], p_old[i], e, r[i], sp) \
+                if entropy else baseline_accept(p_new[i], p_old[i], r[i])
+            assert got[i] == want == one
+
+    def test_at_the_threshold_rejects(self):
+        sp = SpecAcceptParams(e=8.0, lam=16.0)
+        assert not baseline_accept(0.25, 0.5, 0.5)
+        t = entropy_threshold(6.0, 0.7, sp)
+        assert 0.0 < t < 1.0
+        assert not entropy_accept(t, 1.0, 6.0, 0.7, sp)
+        assert entropy_accept(float(np.nextafter(t, 1.0)), 1.0, 6.0, 0.7, sp)
+
+    def test_invalid_inputs_raise(self):
+        sp = SpecAcceptParams()
+        for args in (([-0.1], [0.5], [0.5]), ([0.5], [0.5], [1.0]),
+                     ([0.5], [0.5], [-0.1]), ([np.nan], [0.5], [0.5]),
+                     ([0.5], [0.5], [np.nan])):
+            with pytest.raises(ValueError, match="acceptance inputs"):
+                speculative.accept_drafts(*args)
+        with pytest.raises(ValueError, match="negative entropy"):
+            speculative.accept_drafts([0.5], [0.5], [0.5], [-1.0], sp)
+        assert speculative.accept_drafts([], [], []).shape == (0,)
 
 
 class TestResidualResample:
@@ -241,6 +319,150 @@ class TestJacobiEmission:
             base += advance
         assert base == length
         assert len(temps) == sum(len(p) for p, _ in windows)
+
+
+def per_slot_decode(oracle, length, window, tp, sp, rng, **options):
+    """The Jacobi loop one scalar draw at a time, as the goldens were
+    recorded: per verifiable slot a ``uniform()`` and a scalar accept test,
+    the tail draw by ``sample_categorical`` or ``residual_resample``, each
+    survivor by ``sample_categorical`` and each fresh draft by
+    ``integer``. Returns jacobi_decode's outputs (SpecStats as a tuple)
+    and a log of (verifiable slots, w_eff, accepted) per window."""
+    vocab = oracle.cfg.vocab
+    emitted, eps_out, temps, log = [], [], [], []
+    tests = 0
+    drafts = [rng.integer(vocab) for _ in range(window)]
+    prev = []
+    running = RunningDigest()
+    while len(emitted) < length:
+        base = len(emitted)
+        w_eff = min(window, length - base)
+        positions = range(base, base + w_eff)
+        digests = running.continuation_digests(drafts[:w_eff - 1],
+                                               positions[:w_eff - 1])
+        q, eps_rows, t_rows = score(oracle, positions, digests, tp,
+                                    **options)
+        temps.extend(t_rows)
+        accepted, tail = 0, []
+        for i in range(w_eff):
+            if i == len(prev):
+                tail = [dist.sample_categorical(q[i], rng)]
+                break
+            r = rng.uniform()
+            p_new, p_old = float(q[i][drafts[i]]), float(prev[i][drafts[i]])
+            tests += 1
+            if sp.mode == ENTROPY_AWARE:
+                ok = entropy_accept(p_new, p_old, float(eps_rows[i]), r, sp)
+            else:
+                ok = baseline_accept(p_new, p_old, r)
+            if not ok:
+                tail = [residual_resample(q[i], prev[i], rng)]
+                break
+            accepted += 1
+        log.append((len(prev), w_eff, accepted))
+        advance = accepted + len(tail)
+        emitted += drafts[:accepted] + tail
+        eps_out += eps_rows[:advance].tolist()
+        running.append(emitted[base:], range(base, len(emitted)))
+        prev = list(q[advance:w_eff])
+        drafts = [dist.sample_categorical(row, rng) for row in prev]
+        drafts += [rng.integer(vocab) for _ in range(window - len(drafts))]
+    stats = (len(emitted), tests, [a for _, _, a in log])
+    return emitted, stats, eps_out, temps, log
+
+
+# accept rules that force a window's outcome, elementwise on the uniforms
+# as the real rules are, so the array loop and the per-slot loop see the
+# same decisions
+FORCED = {
+    "all": lambda p_new, p_old, r, eps=None, sp=None: np.ones(np.shape(r),
+                                                              bool),
+    "none": lambda p_new, p_old, r, eps=None, sp=None: np.zeros(np.shape(r),
+                                                                bool),
+    "coin": lambda p_new, p_old, r, eps=None, sp=None: np.asarray(r) < 0.5,
+}
+
+
+def decode_both(rule, window, length, seed, c=0.5, mode=BASELINE,
+                literal=False, **options):
+    """(jacobi_decode's outputs, the per-slot loop's outputs and window
+    log), each with the stream's next uniform after the decode."""
+    sp = SpecAcceptParams(mode=mode, literal_noise_decay=literal)
+    oracle = make_oracle(vocab=8, c=c, kappa=0.2, seed=seed % 5)
+    runs = []
+    with mock.patch.object(speculative, "accept_drafts",
+                           FORCED.get(rule, speculative.accept_drafts)):
+        for decode in (jacobi_decode, per_slot_decode):
+            rng = RngStream(seed)
+            out = decode(oracle, length, window, preset("llamagen"), sp, rng,
+                         **options)
+            runs.append((out, rng.uniform()))
+    (toks, st, eps, temps), after = runs[0]
+    (ref_toks, ref_st, ref_eps, ref_temps, log), ref_after = runs[1]
+    assert toks == ref_toks
+    assert (st.tokens_emitted, st.accept_tests,
+            st.per_iteration_accepted) == ref_st
+    assert float_digest(eps) == float_digest(ref_eps)
+    assert float_digest(temps) == float_digest(ref_temps)
+    assert after == ref_after  # the same number of draws
+    return log
+
+
+class TestJacobiWindowEdges:
+    """The array loop against the per-slot loop, bit for bit and draw for
+    draw, at the window shapes where a uniform budget can go wrong."""
+
+    def test_rejection_at_the_last_verifiable_slot(self):
+        # the decode's last window has as many verifiable slots as slots;
+        # rejecting the last one makes the resample draw a uniform beyond
+        # the window's w_eff
+        seen = 0
+        for seed in range(40):
+            for window, length in ((2, 5), (3, 7), (4, 9)):
+                log = decode_both("coin", window, length, seed)
+                seen += any(m == w_eff and accepted == m - 1
+                            for m, w_eff, accepted in log)
+        assert seen > 0
+
+    def test_all_accepted_window(self):
+        # every draft accepted: a window with a fresh slot emits its drafts
+        # plus a draw; the last window, all verifiable, emits no tail
+        for window, length in ((4, 8), (5, 10), (16, 40)):
+            log = decode_both("all", window, length, seed=3)
+            assert log[-1][0] == log[-1][1] == log[-1][2]
+            assert all(a == m for m, _, a in log)
+
+    def test_every_draft_rejected(self):
+        log = decode_both("none", 4, 30, seed=5)
+        assert all(a == 0 for _, _, a in log)
+        assert any(m > 0 for m, _, _ in log)
+
+    def test_short_tail_window(self):
+        # w_eff < window: lengths that leave a short last window
+        for length in (1, 3, 17, 18, 31):
+            log = decode_both("coin", 16, length, seed=length)
+            assert log[-1][1] == length - sum(
+                a + (a < w_eff) for _, w_eff, a in log[:-1])
+            assert any(w_eff < 16 for _, w_eff, _ in log)
+
+    def test_window_one(self):
+        # every window is one unverified slot: no accept test is made
+        log = decode_both(BASELINE, 1, 25, seed=2)
+        assert log == [(0, 1, 0)] * 25
+
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.sampled_from([1, 2, 3, 5, 16]),
+           length=st.integers(1, 40),
+           c=st.sampled_from([0.0, 0.5, 1.0]),
+           rule=st.sampled_from([BASELINE, ENTROPY_AWARE, "literal", "coin"]),
+           options=st.sampled_from([{}, {"cfg_scale": 1.5, "top_k": 5},
+                                    {"cfg_scale": 1.3, "top_p": 0.8}]),
+           seed=st.integers(0, 999))
+    def test_matches_per_slot_loop(self, window, length, c, rule, options,
+                                   seed):
+        mode = BASELINE if rule in (BASELINE, "coin") else ENTROPY_AWARE
+        decode_both(rule, window, length, seed, c, mode, rule == "literal",
+                    **options)
 
 
 def float_digest(values):
