@@ -134,7 +134,7 @@ def main(argv=None) -> int:
                     if sp.mode == BASELINE and tv > floor["q0.99"]:
                         failures.append(row)
     record = {
-        "machine": {"nproc": os.cpu_count(),
+        "machine": {"nproc": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
         "decodes": DECODES, "floor_replicates": FLOOR_REPLICATES,

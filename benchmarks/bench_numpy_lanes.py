@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     features = np._core._multiarray_umath.__cpu_features__
     record = {
-        "machine": {"nproc": os.cpu_count(),
+        "machine": {"nproc": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "simd": sorted(f for f in ("AVX2", "AVX512F", "AVX512_SKX")

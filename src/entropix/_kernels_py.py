@@ -118,12 +118,11 @@ def _u64_to_f64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    """As ``_mix64_into``, into new arrays: faster on the few-element key
-    arrays the oracle and the fold hash."""
-    z = z + _GOLDEN_U
-    z = (z ^ (z >> _S30)) * _M1_U
-    z = (z ^ (z >> _S27)) * _M2_U
-    return z ^ (z >> _S31)
+    """mix64 of each value of the uint64 array z, as a new array; z is
+    left unchanged."""
+    z = z.copy()
+    _mix64_into(z, np.empty_like(z))
+    return z
 
 
 def pair_hashes(tokens, indices) -> np.ndarray:

@@ -21,15 +21,12 @@ import numpy as np
 
 from entropix import pgm
 from entropix.config import (_INT_KEYS, ConfigSyntaxError, ConfigValueError,
-                             RunConfig, parse_config, validate_config)
+                             RunConfig, build_run, parse_config,
+                             validate_config)
 from entropix.decode import next_token_generate
-from entropix.mask import cosine_schedule, mask_generate
-from entropix.oracle import Oracle, OracleConfig, profile_rect
-from entropix.rng import RngStream
-from entropix.scales import ScaleTempParams, scale_generate
-from entropix.speculative import (BASELINE, ENTROPY_AWARE, SpecAcceptParams,
-                                  SpecStats, jacobi_decode)
-from entropix.temperature import TempParams, preset
+from entropix.mask import mask_generate
+from entropix.scales import scale_generate
+from entropix.speculative import SpecStats, jacobi_decode
 
 HIST_BINS = 8
 
@@ -46,32 +43,8 @@ class RunResult:
     scale_mean_entropy: Optional[List[float]] = None  # scale mode only
 
 
-def build_oracle(cfg: RunConfig) -> Oracle:
-    shape = (cfg.height, cfg.width)
-    if cfg.rect is not None:
-        profile = profile_rect(shape, cfg.kappa_bg, cfg.kappa_fg, cfg.rect)
-    else:
-        profile = np.full(shape, cfg.kappa_bg)
-    return Oracle(OracleConfig(vocab=cfg.vocab, shape=shape, profile=profile,
-                               seed=cfg.seed,
-                               context_sensitivity=cfg.context_sensitivity))
-
-
-def default_ladder(height: int, width: int):
-    shapes = []
-    h, w = 1, 1
-    while True:
-        shapes.append((min(h, height), min(w, width)))
-        if shapes[-1] == (height, width):
-            return tuple(shapes)
-        h, w = h * 2, w * 2
-
-
 def run(cfg: RunConfig) -> RunResult:
-    oracle = build_oracle(cfg)
-    tp = preset(cfg.preset) if cfg.preset is not None \
-        else TempParams(cfg.t0, cfg.alpha, cfg.theta)
-    rng = RngStream(cfg.seed)
+    r = build_run(cfg)
     shape = (cfg.height, cfg.width)
     n = cfg.height * cfg.width
     length = cfg.length if cfg.length is not None else n
@@ -80,29 +53,22 @@ def run(cfg: RunConfig) -> RunResult:
     start = time.perf_counter()
 
     if cfg.mode == "next-token":
-        tokens, eps_list, temps = next_token_generate(oracle, length, tp, rng,
-                                                      *options)
+        tokens, eps_list, temps = next_token_generate(r.oracle, length, r.tp,
+                                                      r.rng, *options)
         grid, emap = _to_grid(tokens, eps_list, shape)
         emitted = invocations = length
     elif cfg.mode == "mask":
-        schedule = cosine_schedule(n, cfg.steps)
-        grid, emap, _, temps = mask_generate(oracle, shape, schedule, tp, rng,
-                                             *options)
-        emitted, invocations = n, schedule.total_steps
+        grid, emap, _, temps = mask_generate(r.oracle, shape, r.schedule,
+                                             r.tp, r.rng, *options)
+        emitted, invocations = n, r.schedule.total_steps
     elif cfg.mode == "scale":
-        ladder = cfg.ladder if cfg.ladder is not None \
-            else default_ladder(cfg.height, cfg.width)
-        sp = ScaleTempParams(cfg.beta, len(ladder), cfg.floor_temperature)
-        grids, emaps, mean_eps, temps = scale_generate(oracle, ladder, tp, sp,
-                                                       rng, *options)
+        grids, emaps, mean_eps, temps = scale_generate(
+            r.oracle, r.ladder, r.tp, r.scale, r.rng, *options)
         grid, emap = grids[-1], emaps[-1]
-        emitted, invocations = sum(g.size for g in grids), len(ladder)
+        emitted, invocations = sum(g.size for g in grids), len(r.ladder)
     elif cfg.mode in ("spec-baseline", "spec-entropy"):
-        mode = ENTROPY_AWARE if cfg.mode == "spec-entropy" else BASELINE
-        sp = SpecAcceptParams(cfg.accept_e, cfg.accept_lambda, mode,
-                              cfg.literal_noise_decay)
         tokens, stats, eps_list, temps = jacobi_decode(
-            oracle, length, cfg.window, tp, sp, rng, *options)
+            r.oracle, length, cfg.window, r.tp, r.accept, r.rng, *options)
         grid, emap = _to_grid(tokens, eps_list, shape)
         emitted, invocations = stats.tokens_emitted, stats.model_invocations
     else:

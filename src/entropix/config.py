@@ -1,15 +1,26 @@
-"""Run configuration: flat ``key = value`` text files.
+"""Run configuration: flat ``key = value`` text files, parsed, checked and
+built into what a run decodes with.
 
 One assignment per line, ``#`` starts a comment, no sections. Unknown keys
 are rejected with the offending line number. Syntax and type problems raise
-ConfigSyntaxError (CLI exit 2); semantically invalid parameter combinations
-raise ConfigValueError (CLI exit 3).
+ConfigSyntaxError (CLI exit 2); invalid parameter values raise
+ConfigValueError (CLI exit 3). ``validate_config`` checks what no object of
+the run checks (the mode, finiteness, sizes and the sampling options), then
+builds the run (``build_run``): the oracle, the random stream and every
+parameter object, each of which states its own ranges once.
 """
 
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional, Tuple
+
+from entropix.mask import StepSchedule, cosine_schedule
+from entropix.oracle import Oracle, OracleConfig, profile_rect
+from entropix.rng import RngStream
+from entropix.scales import ScaleTempParams
+from entropix.speculative import BASELINE, ENTROPY_AWARE, SpecAcceptParams
+from entropix.temperature import TempParams, preset
 
 MODES = ("next-token", "mask", "scale", "spec-baseline", "spec-entropy")
 
@@ -149,45 +160,81 @@ def parse_config(path: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Check what no object of the run checks, sizes before anything is
+    allocated, then build the run; every invalid value raises
+    ConfigValueError."""
     if cfg.mode not in MODES:
         raise ConfigValueError(f"unknown mode {cfg.mode!r}; valid modes: {', '.join(MODES)}")
-    # the range checks below are comparisons, which NaN passes
+    # the range checks are comparisons, which NaN passes
     for name in sorted(_FLOAT_KEYS):
         v = getattr(cfg, name)
         if v is not None and not math.isfinite(v):
             raise ConfigValueError(f"{name} must be finite")
     if cfg.vocab < 2 or cfg.height < 1 or cfg.width < 1:
         raise ConfigValueError("vocab must be >= 2 and grid dimensions positive")
-    if not 0.0 <= cfg.context_sensitivity <= 1.0:
-        raise ConfigValueError("context_sensitivity must be in [0, 1]")
-    for name in ("kappa_bg", "kappa_fg"):
-        v = getattr(cfg, name)
-        if not 0.0 <= v <= 1.0:
-            raise ConfigValueError(f"{name} must be in [0, 1]")
     if cfg.top_k is not None and cfg.top_k < 1:
         raise ConfigValueError("top_k must be >= 1")
     if cfg.top_p is not None and not 0.0 < cfg.top_p <= 1.0:
         raise ConfigValueError("top_p must be in (0, 1]")
-    if cfg.t0 <= 0 or cfg.alpha <= 0 or cfg.theta <= 0:
-        raise ConfigValueError("t0, alpha and theta must be positive")
     if cfg.steps < 1 or cfg.window < 1:
         raise ConfigValueError("steps and window must be >= 1")
-    if cfg.accept_e <= 0 or cfg.accept_lambda <= 0:
-        raise ConfigValueError("accept_e and accept_lambda must be positive")
-    if not 0.0 <= cfg.beta < 1.0:
-        raise ConfigValueError("beta must be in [0, 1)")
-    if cfg.floor_temperature <= 0:
-        raise ConfigValueError("floor_temperature must be positive")
     if cfg.length is not None and cfg.length < 1:
         raise ConfigValueError("length must be positive")
-    if cfg.rect is not None:
-        top, left, rh, rw = cfg.rect
-        if top < 0 or left < 0 or rh < 0 or rw < 0 \
-                or top + rh > cfg.height or left + rw > cfg.width:
-            raise ConfigValueError("rect out of bounds")
     if cfg.cfg_scale < 1.0:
         raise ConfigValueError("cfg_scale must be >= 1")
     _check_sizes(cfg)
+    try:
+        build_run(cfg)
+    except ValueError as exc:
+        raise ConfigValueError(str(exc)) from None
+
+
+class RunParts(NamedTuple):
+    """What a run decodes with (``build_run``)."""
+    oracle: Oracle
+    rng: RngStream
+    tp: TempParams
+    ladder: Tuple[Tuple[int, int], ...]
+    scale: ScaleTempParams
+    accept: SpecAcceptParams
+    schedule: Optional[StepSchedule]  # mask mode only
+
+
+def build_run(cfg: RunConfig) -> RunParts:
+    """The oracle, the random stream and the parameter objects of a run;
+    each raises ValueError on a value out of its range. The temperature
+    (also under a preset), ladder and acceptance parameters are built in
+    every mode, so a bad value is refused whichever mode reads it; the
+    cosine schedule in mask mode only, where steps may not exceed cells."""
+    shape = (cfg.height, cfg.width)
+    # an empty rect leaves the whole grid at kappa_bg
+    profile = profile_rect(shape, cfg.kappa_bg, cfg.kappa_fg,
+                           cfg.rect or (0, 0, 0, 0))
+    oracle = Oracle(OracleConfig(cfg.vocab, shape, profile, cfg.seed,
+                                 cfg.context_sensitivity))
+    tp = TempParams(cfg.t0, cfg.alpha, cfg.theta)
+    if cfg.preset is not None:
+        tp = preset(cfg.preset)
+    ladder = cfg.ladder if cfg.ladder is not None else default_ladder(*shape)
+    rule = ENTROPY_AWARE if cfg.mode == "spec-entropy" else BASELINE
+    return RunParts(
+        oracle, RngStream(cfg.seed), tp, ladder,
+        ScaleTempParams(cfg.beta, len(ladder), cfg.floor_temperature),
+        SpecAcceptParams(cfg.accept_e, cfg.accept_lambda, rule,
+                         cfg.literal_noise_decay),
+        cosine_schedule(shape[0] * shape[1], cfg.steps)
+        if cfg.mode == "mask" else None)
+
+
+def default_ladder(height: int, width: int):
+    """Scales 1x1, 2x2, 4x4, ..., each clipped to the grid, up to the grid."""
+    shapes = []
+    h, w = 1, 1
+    while True:
+        shapes.append((min(h, height), min(w, width)))
+        if shapes[-1] == (height, width):
+            return tuple(shapes)
+        h, w = h * 2, w * 2
 
 
 def _check_sizes(cfg: RunConfig) -> None:

@@ -42,6 +42,25 @@ out_dir = {out}
 """)
 
 
+# One out-of-range value per rule that an object of the run states: the
+# oracle, the temperature, the scale and acceptance parameters, the kappa
+# map and its rect (8x8 grid), the preset table and the random stream.
+OBJECT_RULES = [
+    "context_sensitivity=1.5",
+    "t0=0",
+    "alpha=-1",
+    "theta=0",
+    "accept_e=0",
+    "accept_lambda=-2",
+    "beta=1",
+    "floor_temperature=0",
+    "kappa_fg=1.5",
+    "rect=0,5,2,4",
+    "preset=nope",
+    "seed=-1",
+]
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         cfg = parse_config(base_config(tmp_path))
@@ -91,6 +110,29 @@ class TestConfigParsing:
                             "mode = scale\nladder = 1x1,2x2,4x4\n"
                             "height = 4\nwidth = 4\n")
         assert parse_config(path).ladder == ((1, 1), (2, 2), (4, 4))
+
+    @pytest.mark.parametrize("mode,line", [
+        (mode, line) for mode in MODES for line in OBJECT_RULES
+    ] + [("mask", "steps=65")])
+    def test_run_objects_refuse_bad_values(self, tmp_path, capsys,
+                                           monkeypatch, mode, line):
+        # each range is stated once, by the object of the run that holds
+        # the value; parsing builds them all, so every mode refuses it
+        # before decoding starts and before out_dir is made
+        monkeypatch.delenv("ENTROPIX_SEED", raising=False)
+        path = base_config(tmp_path, mode, line + "\n")
+        with pytest.raises(ConfigValueError):
+            parse_config(path)
+        assert main(["generate", path]) == 3
+        assert "invalid parameters:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("line", ["kappa_bg=-0.5", "kappa_fg=2"])
+    def test_kappas_checked_without_rect(self, tmp_path, line):
+        # without a rect the foreground kappa is unused, and still checked
+        path = write_config(tmp_path / "bad.cfg", line + "\n")
+        with pytest.raises(ConfigValueError, match="kappa"):
+            parse_config(path)
 
 
 # Each config breaks one size limit by one unit; only validate_config sees

@@ -37,10 +37,10 @@ class CountingOracle:
         return self.oracle.logits_kinds(pos, digest, kinds, kappa, inputs)
 
     def logits_rows(self, positions, digests, conditional=True, kappas=None,
-                    noise=None):
+                    inputs=None):
         self._count(conditional)
         return self.oracle.logits_rows(positions, digests, conditional, kappas,
-                                       noise)
+                                       inputs)
 
 
 class TestScore:
