@@ -26,7 +26,9 @@ import sys
 
 LAYERS = ("oracle.logits_rows.self_s", "kernels.raw_logits_rows.self_s",
           "kernels.raw_logits.self_s", "temperature.pipeline_probs.self_s",
-          "oracle.digest_of.self_s", "oracle.running_digest.self_s")
+          "oracle.digest_of.self_s", "oracle.running_digest.self_s",
+          "dist.sample_categorical.self_s", "dist.sample_rows.self_s",
+          "cli.run.self_s")
 MIN_SEEDS = 10
 
 

@@ -73,6 +73,9 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     for a chunk of about ``_BLOCK_ELEMS`` noise values per query kind (512
     positions at V = 64) at a time, and each token makes one query of its
     kinds, one kernel call for the guidance pair.
+
+    The draws run ``dist``'s draw cores without revalidating: the rows
+    come from ``pipeline_probs``, which builds valid distributions.
     """
     tokens: List[int] = []
     eps_list: List[float] = []
@@ -83,7 +86,7 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
             positions = range(start, min(start + block, length))
             probs, eps, t = score(oracle, positions, 0, tp, top_k, top_p,
                                   cfg_scale)
-            tokens.extend(dist.sample_rows(
+            tokens.extend(dist._sample_rows(
                 probs, rng.uniforms(len(positions))).tolist())
             eps_list.extend(eps.tolist())
             temps.extend(t.tolist())
@@ -97,7 +100,7 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
                                oracle.position_inputs(span, kinds).rows()):
             probs, eps, t = score(oracle, pos, running.digest(), tp, top_k,
                                   top_p, cfg_scale, inputs=inputs)
-            token = dist.sample_categorical(probs, rng)
+            token = dist.inverse_cdf(probs, rng.uniform())
             running.append((token,), (pos,))
             tokens.append(token)
             eps_list.append(eps)

@@ -8,6 +8,17 @@ The logits primitives also take an [N, V] stack of rows and act on each row
 along the last axis; a row's result equals the 1-D result bit for bit, so a
 decoder may score a whole batch of positions in one call.
 
+Each checked function is its checks plus one call of a private core that
+trusts its caller: ``softmax`` runs ``_softmax``, ``cfg_combine``
+``_cfg_combine``, ``rescale_logits`` ``_rescale_logits``, ``top_k_filter``
+``_top_k_filter``, ``top_p_softmax`` ``_top_p_softmax``,
+``sample_categorical`` ``inverse_cdf`` and ``sample_rows`` ``_sample_rows``.
+Each check is stated once (``as_logits``, ``_rows_valid`` and the
+``_check_*`` helpers). ``temperature.pipeline_probs`` makes every check of
+its inputs once, up front, and then runs only the cores; the decoders draw
+through the draw cores from rows they built themselves, which are valid by
+construction (tests/test_temperature.py pins that).
+
 The top-k and top-p filters select by threshold. Each row's cut value is
 read from its sorted values: the k-th highest logit, or the probability
 that brings the descending cumulative mass to p. The row keeps the entries
@@ -30,6 +41,8 @@ extra passes cost more than they save. ``top_p_softmax`` exponentiates
 once where top-p followed by softmax would exponentiate twice.
 """
 
+import math
+
 import numpy as np
 
 from entropix.rng import RngStream
@@ -47,6 +60,9 @@ _EXP_ZERO_BELOW = -746.0  # exp is exactly 0 below this (2^-1075 at -745.13)
 
 
 def as_logits(values) -> np.ndarray:
+    """``values`` as float64 logits: a 1-D vector or an [N, V] stack, V >= 1.
+    The values are not read here; the softmax refuses a row whose max is
+    not finite (NaN, or no finite entry) as an empty support."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] < 1:
         raise ValueError("logits must be a 1-D vector or an [N, V] stack")
@@ -76,17 +92,21 @@ def _exp_stack(x: np.ndarray) -> None:
     flat[band] = exact
 
 
-def _shifted_exp(a: np.ndarray):
+def _shifted_exp(a: np.ndarray, m=None):
     """(exp(a - row max), its sum along the last axis, the row max):
     softmax before the division. A 1-D row runs np.exp as it is; a stack
-    runs ``_exp_stack``."""
+    runs ``_exp_stack``. ``m``, if given, is the row max, in the shape this
+    function would compute it: a scalar for a 1-D row, [N, 1] for a stack.
+    A row max that is not finite (no finite entry, NaN, or overflow) is
+    refused as an empty support."""
     # a 1-D input reduces to numpy scalars, which cost less per operation
     # than one-element arrays; a stack keeps the axis to broadcast per row.
     # The ufunc reductions are what max() and sum() run, minus a wrapper.
     rows = a.ndim > 1
-    m = np.maximum.reduce(a, axis=-1, keepdims=rows)
-    finite = np.isfinite(m)
-    if not (finite.all() if rows else finite):
+    if m is None:
+        m = np.maximum.reduce(a, axis=-1, keepdims=rows)
+    # a numpy scalar is a float, which math checks at a tenth of the cost
+    if not (np.isfinite(m).all() if rows else math.isfinite(m)):
         raise ValueError("empty support")
     # in place on one fresh array: a large stack then pays for a single
     # allocation rather than three
@@ -100,18 +120,28 @@ def _shifted_exp(a: np.ndarray):
 
 def softmax(logits) -> np.ndarray:
     """Stabilized softmax; EXCLUDED entries get probability exactly 0."""
-    e, total, _ = _shifted_exp(as_logits(logits))
+    return _softmax(as_logits(logits))
+
+
+def _softmax(a: np.ndarray, m=None) -> np.ndarray:
+    """``softmax`` of checked logits; ``m`` as in ``_shifted_exp``."""
+    e, total, _ = _shifted_exp(a, m)
     e /= total
     return e
 
 
 def validate_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
-    # negated comparisons, so that NaN fails them
-    if p.ndim != 1 or p.size < 1 or not p.min() >= 0 \
-            or not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
+    if p.ndim != 1 or p.size < 1 or not _rows_valid(p):
         raise ValueError("invalid distribution")
     return p
+
+
+def _rows_valid(p: np.ndarray) -> bool:
+    """Every row (a 1-D ``p`` is one) is nonnegative and sums to 1 within
+    PROB_SUM_TOL; a NaN fails both comparisons."""
+    return bool(np.minimum.reduce(p, axis=None, initial=0.0) >= 0 and (
+        abs(np.add.reduce(p, axis=-1) - 1.0) <= PROB_SUM_TOL).all())
 
 
 def support_entropy(probs):
@@ -125,7 +155,7 @@ def support_entropy(probs):
     [rows, m] stack of those entries.
     """
     p = np.asarray(probs, dtype=np.float64)
-    if p.min(initial=np.inf) > 0.0:  # full support: nothing to drop
+    if np.minimum.reduce(p, axis=None, initial=np.inf) > 0.0:  # full support
         return -(p * np.log(p)).sum(axis=-1)
     if p.ndim == 1:
         nz = p[p > 0.0]
@@ -147,14 +177,23 @@ def entropy(probs) -> float:
 
 def rescale_logits(logits, temperature) -> np.ndarray:
     """Divide by the temperature: a scalar, or one per row of a stack."""
-    if isinstance(temperature, np.ndarray) and temperature.ndim:
-        t = temperature[:, None]
-        low = t.min(initial=np.inf)
-    else:
-        t = low = temperature
+    _check_temperature(temperature)
+    return _rescale_logits(as_logits(logits), temperature)
+
+
+def _check_temperature(t) -> None:
+    low = t.min(initial=np.inf) if isinstance(t, np.ndarray) and t.ndim \
+        else t
     if not low > 0:  # NaN fails too
         raise ValueError("nonpositive temperature")
-    return as_logits(logits) / t  # EXCLUDED stays -inf
+
+
+def _rescale_logits(a: np.ndarray, t) -> np.ndarray:
+    """``a`` / ``t`` with a checked temperature; a stack's [N, 1] row
+    maxima divide as its rows do."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        t = t[:, None]
+    return a / t  # EXCLUDED stays -inf
 
 
 def _keep_highest(score, ranked, n_keep) -> np.ndarray:
@@ -199,8 +238,18 @@ def top_k_filter(logits, k: int) -> np.ndarray:
     The cut is each row's k-th highest logit, read from the sorted row.
     """
     a = as_logits(logits)
+    _check_top_k(k)
+    return _top_k_filter(a, k)
+
+
+def _check_top_k(k: int) -> None:
     if k < 1:
         raise ValueError("top-k requires k >= 1")
+
+
+def _top_k_filter(a: np.ndarray, k: int) -> np.ndarray:
+    """``top_k_filter`` of checked logits. The filtered row keeps its
+    maximum, since the cut is at or below it."""
     if k >= a.shape[-1]:
         return a.copy()
     return np.where(_keep_highest(a, np.sort(a, axis=-1), k), a, EXCLUDED)
@@ -233,8 +282,13 @@ def top_p_softmax(logits, p: float) -> np.ndarray:
     """
     a = as_logits(logits)
     _check_top_p(p)
+    return _top_p_softmax(a, p)
+
+
+def _top_p_softmax(a: np.ndarray, p: float) -> np.ndarray:
+    """``top_p_softmax`` of checked logits and p."""
     if p == 1.0:
-        return softmax(a)
+        return _softmax(a)
     keep, e, m = _top_p_keep(a, p)
     e *= keep
     rows = a.ndim > 1
@@ -243,9 +297,9 @@ def top_p_softmax(logits, p: float) -> np.ndarray:
     if rows:
         stale = np.flatnonzero(~held)
         if stale.size:
-            e[stale] = softmax(np.where(keep[stale], a[stale], EXCLUDED))
+            e[stale] = _softmax(np.where(keep[stale], a[stale], EXCLUDED))
     elif not held:
-        e = softmax(np.where(keep, a, EXCLUDED))
+        e = _softmax(np.where(keep, a, EXCLUDED))
     return e
 
 
@@ -272,10 +326,18 @@ def cfg_combine(cond, uncond, scale: float) -> np.ndarray:
     """Guidance combination: uncond + scale * (cond - uncond)."""
     c = as_logits(cond)
     u = as_logits(uncond)
+    _check_guidance(c, u)
+    return _cfg_combine(c, u, scale)
+
+
+def _check_guidance(c: np.ndarray, u: np.ndarray) -> None:
     if c.shape != u.shape:
         raise ValueError("mismatched vocabulary sizes")
     if not (np.isfinite(c).all() and np.isfinite(u).all()):
         raise ValueError("guidance inputs must have no excluded entries")
+
+
+def _cfg_combine(c: np.ndarray, u: np.ndarray, scale: float) -> np.ndarray:
     return u + scale * (c - u)
 
 
@@ -308,16 +370,20 @@ def sample_rows(probs, u) -> np.ndarray:
     ``sample_categorical`` and its core ``inverse_cdf`` stay a scalar form
     of their own because draws that depend on earlier draws (next-token
     decoding, a Jacobi window's tail token) come one token at a time, and
-    the row-wise form costs a single draw about twice as much.
+    the row-wise form costs a single draw about twice as much. The core,
+    for valid rows and one uniform each, is ``_sample_rows``.
     """
     p = np.asarray(probs, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] < 1 or u.shape != p.shape[:1]:
         raise ValueError("need one uniform per row of an [N, V] stack")
-    # every row must pass validate_probs, NaN included
-    if p.size and (not p.min() >= 0
-                   or not (abs(p.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()):
+    if not _rows_valid(p):
         raise ValueError("invalid distribution")
+    return _sample_rows(p, u)
+
+
+def _sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sample_rows`` of rows that pass ``validate_probs``."""
     cum = np.cumsum(p, axis=1)
     # searchsorted-right on a nondecreasing cum: count the entries <= u
     idx = np.minimum((cum <= u[:, None]).sum(axis=1), p.shape[1] - 1)

@@ -41,8 +41,10 @@ def cosine_schedule(total_tokens: int, total_steps: int) -> StepSchedule:
     """Cosine acceptance schedule: few tokens early, most in the late steps.
 
     Integer counts come from largest-remainder apportionment of the cosine
-    increments; zeros are bumped to 1 by stealing from the largest step and
-    the counts are ordered ascending so k_t never decreases.
+    increments. Zeros are then bumped to 1, taking as many units off the
+    largest counts: the top counts are leveled down as evenly as possible,
+    which leaves the counts that taking one unit at a time from the current
+    largest would. The counts are ordered ascending so k_t never decreases.
     """
     if total_steps < 1 or total_tokens < 1:
         raise ValueError("total_tokens and total_steps must be positive")
@@ -53,13 +55,18 @@ def cosine_schedule(total_tokens: int, total_steps: int) -> StepSchedule:
     ideal = np.diff(cum) * total_tokens
     counts = np.floor(ideal).astype(int)
     rem = ideal - counts
-    for i in np.argsort(-rem, kind="stable")[: total_tokens - counts.sum()]:
-        counts[i] += 1
-    while np.any(counts == 0):
-        counts[int(np.argmax(counts == 0))] += 1
-        counts[int(np.argmax(counts))] -= 1
-    counts.sort()
-    return StepSchedule(total_tokens, tuple(int(k) for k in counts))
+    counts[np.argsort(-rem, kind="stable")[:total_tokens - counts.sum()]] += 1
+    zeros = int(np.count_nonzero(counts == 0))
+    counts = np.sort(np.maximum(counts, 1))[::-1]  # descending
+    if zeros:
+        # leveling the top j + 1 counts down to counts[j] frees cost[j]
+        # units; level the largest prefix that frees at most the units owed
+        cost = np.cumsum(counts) - np.arange(1, counts.size + 1) * counts
+        top = int(np.searchsorted(cost, zeros, side="right"))
+        level, extra = divmod(int(counts[:top].sum()) - zeros, top)
+        counts[:top] = level
+        counts[:extra] += 1
+    return StepSchedule(total_tokens, tuple(np.sort(counts).tolist()))
 
 
 @dataclass
@@ -152,7 +159,7 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
         probs, eps, t = score(oracle, open_pos, running.digest(), tp, top_k,
                               top_p, cfg_scale, inputs=inputs)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
-        drafted = dist.sample_rows(probs, u[:, 0])
+        drafted = dist._sample_rows(probs, u[:, 0])
         conf[open_pos] = confidence_rows(probs[np.arange(n), drafted], t,
                                          u[:, 1])
         drafts[open_pos] = drafted

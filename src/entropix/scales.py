@@ -86,7 +86,7 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
             oracle, positions, running.digest(), tp, top_k, top_p,
             cfg_scale, kappas, partial(scale_temperature, s=s, sp=sp))
         # one uniform per position in row-major order
-        tokens = dist.sample_rows(probs, rng.uniforms(h * w))
+        tokens = dist._sample_rows(probs, rng.uniforms(h * w))
         temps.extend(t)
         running.append(tokens, positions)
         grids.append(tokens.reshape(h, w))

@@ -127,7 +127,7 @@ def residual_resample(new_dist, old_dist, rng: RngStream) -> int:
     p_old = dist.validate_probs(old_dist)
     if p_new.shape != p_old.shape:
         raise ValueError("distribution length mismatch")
-    return dist.sample_categorical(_residual(p_new, p_old), rng)
+    return dist.inverse_cdf(_residual(p_new, p_old), rng.uniform())
 
 
 @dataclass
@@ -178,7 +178,10 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
 
     A window of w_eff slots draws ``rng.uniforms(w_eff)`` up front and one
     ``uniform()`` more on a rejection, then ``rng.integers`` for its fresh
-    drafts; see the module docstring for the order.
+    drafts; see the module docstring for the order. Its draws run
+    ``dist``'s draw cores without revalidating: the window's rows come
+    from ``pipeline_probs``, and the residual of two of them is
+    nonnegative and normalized, or the new row itself.
 
     Returns (token list, SpecStats, entropy list, applied-temperature list).
     """
@@ -238,7 +241,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
         if row is None:
             running.advance(folds[accepted])
         else:
-            tail = dist.inverse_cdf(dist.validate_probs(row), u[tests])
+            tail = dist.inverse_cdf(row, u[tests])
             emitted.append(tail)
             running.advance(folds[accepted], tail, base + accepted)
         advance = len(emitted) - base
@@ -249,7 +252,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
         # start from uniform drafts
         prev = q[advance:w_eff]
         drafts = np.concatenate((
-            dist.sample_rows(prev, u[advance + rejected:]),
+            dist._sample_rows(prev, u[advance + rejected:]),
             rng.integers(vocab, window - prev.shape[0])))
 
     stats.tokens_emitted = len(emitted)

@@ -85,22 +85,49 @@ def pipeline_probs(cond_logits,
     by ``Oracle.logits_rows``) gives [N, V] probabilities and length-N
     entropy and temperature arrays, each row bit-identical to the 1-D
     result. A 1-D input is the one-row case and returns two scalars.
+
+    The output equals softmax -> support_entropy -> dynamic_temperature ->
+    rescale_logits -> top_k_filter -> softmax (or top_p_softmax) of the
+    public ``dist`` functions, bit for bit, and its rows are valid
+    distributions, so a caller may draw from them with ``dist``'s draw
+    cores. Each input is checked once, up front, and then only ``dist``'s
+    unchecked cores run. The checks: the logits, and under guidance the
+    unconditional logits, are 1-D or [N, V] with V >= 1, of one shape and
+    finite; top_k >= 1; top_p in (0, 1]; and, after
+    ``adjust_temperature``, every applied temperature is > 0 (NaN fails).
+    NaN logits, or a row with no finite logit, leave the first softmax's row
+    max not finite and are refused as an empty support.
+
+    Row-max reuse: without top-p the second softmax takes the first one's
+    row max m as m / t instead of reducing again. That is its row max bit
+    for bit: t > 0 and division rounds monotonically, so m / t is the
+    largest rescaled logit, and top-k keeps each row's maximum. Where m / t
+    overflows the softmax refuses it as an empty support, as it would the
+    row's own max. Top-p finds its own max (``dist.top_p_softmax``).
     """
     logits = dist.as_logits(cond_logits)
     if uncond_logits is not None:
-        logits = dist.cfg_combine(logits, uncond_logits, cfg_scale)
-    p = dist.softmax(logits)
-    eps = dist.support_entropy(p)  # p is valid by construction
+        uncond = dist.as_logits(uncond_logits)
+        dist._check_guidance(logits, uncond)
+        logits = dist._cfg_combine(logits, uncond, cfg_scale)
+    if top_k is not None:
+        dist._check_top_k(top_k)
+    if top_p is not None:
+        dist._check_top_p(top_p)
+    e, total, m = dist._shifted_exp(logits)
+    e /= total  # the softmax, valid by construction
+    eps = dist.support_entropy(e)
     t = dynamic_temperature(eps, tp)
     if adjust_temperature is not None:
         t = adjust_temperature(t)
-    logits = dist.rescale_logits(logits, t)
+    dist._check_temperature(t)
+    logits = dist._rescale_logits(logits, t)
     if top_k is not None:
-        logits = dist.top_k_filter(logits, top_k)
+        logits = dist._top_k_filter(logits, top_k)
     if top_p is None:
-        probs = dist.softmax(logits)
+        probs = dist._softmax(logits, dist._rescale_logits(m, t))
     else:  # the same as softmax(top_p_filter(...)), one exponentiation
-        probs = dist.top_p_softmax(logits, top_p)
+        probs = dist._top_p_softmax(logits, top_p)
     if probs.ndim == 1:
         return probs, float(eps), t
     return probs, eps, t

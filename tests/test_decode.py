@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from entropix import _kernels_py
+from entropix import _kernels_py, decode, dist, speculative
 from entropix.decode import next_token_generate, score
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_temperature
-from entropix.speculative import BASELINE, SpecAcceptParams, jacobi_decode
+from entropix.speculative import (BASELINE, ENTROPY_AWARE, SpecAcceptParams,
+                                  jacobi_decode)
 from entropix.temperature import TempParams, pipeline_probs, preset
 
 
@@ -152,6 +153,135 @@ class TestNextTokenKernelCalls:
                                            cfg_scale=cfg_scale)
         assert len(tokens) == length
         assert calls == length
+
+
+class FixedOracle:
+    """Answers every query with the given conditional and unconditional
+    logits, so that ``score`` passes them to the pipeline as they are."""
+
+    def __init__(self, cond, uncond):
+        self.logits = {True: cond, False: uncond}
+
+    def logits_kinds(self, pos, digest, kinds, kappa=None, inputs=None):
+        return [self.logits[k] for k in kinds]
+
+    def logits_rows(self, positions, digests, conditional=True, kappas=None,
+                    inputs=None):
+        return self.logits[conditional]
+
+
+def _overflowing(row):
+    # finite logits whose largest, over 0.05, overflows
+    return np.where(np.arange(row.shape[-1]) == 2, 1e308, 1e307)
+
+
+def _with(value):
+    def put(row):
+        row = row.copy()
+        row[..., 1] = value
+        return row
+    return put
+
+
+def _at_floor(t):
+    return np.full_like(t, 0.05) if np.ndim(t) else 0.05
+
+
+# (cond transform, uncond transform or None without guidance, options,
+# message); each transform takes and returns a row (1-D) or a stack
+REFUSALS = {
+    "nan": (_with(np.nan), None, {}, "empty support"),
+    "3-D": (lambda a: a.reshape(1, 1, -1), None, {}, "1-D vector"),
+    "V=0": (lambda a: a[..., :0], None, {}, "1-D vector"),
+    "shape mismatch": (None, lambda a: a[..., 1:], {}, "mismatched"),
+    "+inf guided": (_with(np.inf), lambda a: a, {}, "guidance"),
+    "-inf guided": (None, _with(-np.inf), {}, "guidance"),
+    "top_k=0": (None, None, {"top_k": 0}, "top-k"),
+    "top_p=0": (None, None, {"top_p": 0.0}, "top-p"),
+    "top_p=1.5": (None, None, {"top_p": 1.5}, "top-p"),
+    "top_p=nan": (None, None, {"top_p": np.nan}, "top-p"),
+    "t=0": (None, None, {"adjust_temperature": lambda t: t * 0.0},
+            "nonpositive"),
+    "t<0": (None, None, {"adjust_temperature": lambda t: -t}, "nonpositive"),
+    "t=nan": (None, None, {"adjust_temperature": lambda t: t * np.nan},
+              "nonpositive"),
+    "overflow": (_overflowing, None, {"adjust_temperature": _at_floor},
+                 "empty support"),
+    "overflow top-k": (_overflowing, None,
+                       {"adjust_temperature": _at_floor, "top_k": 3},
+                       "empty support"),
+}
+
+
+class TestRefusals:
+    """Every input the pipeline refuses is refused once it checks each input
+    only at its boundary: by ``pipeline_probs`` and by ``score``, for one
+    row and for a stack."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("stacked", [False, True], ids=["1-D", "stack"])
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refused(self, case, stacked):
+        fix_cond, fix_uncond, options, message = REFUSALS[case]
+        rng = np.random.default_rng(3)
+        cond = rng.normal(size=(3, 6) if stacked else 6)
+        uncond = cond + rng.normal(size=cond.shape)
+        if fix_cond is not None:
+            cond = fix_cond(cond)
+        uncond = None if fix_uncond is None else fix_uncond(uncond)
+        cfg_scale = 1.0 if uncond is None else 1.5
+        tp = preset("llamagen")
+        with pytest.raises(ValueError, match=message):
+            pipeline_probs(cond, uncond, cfg_scale, tp, **options)
+        with pytest.raises(ValueError, match=message):
+            score(FixedOracle(cond, uncond), [0, 1, 2] if stacked else 0, 0,
+                  tp, cfg_scale=cfg_scale, **options)
+
+
+class TestCheckCounts:
+    """A count that host noise cannot move: each ``score`` call converts its
+    logits with ``dist.as_logits`` at most twice (conditional and
+    unconditional), and the decode loops draw without ``validate_probs``."""
+
+    def count(self, monkeypatch):
+        calls = {"as_logits": 0, "validate_probs": 0, "score": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("as_logits", "validate_probs"):
+            monkeypatch.setattr(dist, name, counted(name, getattr(dist, name)))
+        wrapped = counted("score", score)
+        monkeypatch.setattr(decode, "score", wrapped)
+        monkeypatch.setattr(speculative, "score", wrapped)
+        return calls
+
+    def test_next_token_under_context(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        oracle = Oracle(OracleConfig(vocab=64, shape=(8, 8), seed=1,
+                                     context_sensitivity=0.5))
+        tokens, _, _ = next_token_generate(oracle, 64, preset("llamagen"),
+                                           RngStream(2), top_k=16,
+                                           cfg_scale=1.5)
+        assert len(tokens) == 64 and calls["score"] == 64
+        assert calls["as_logits"] <= 2 * calls["score"]
+        assert calls["validate_probs"] == 0
+
+    def test_jacobi_under_context(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        prof = profile_rect((16, 16), 0.95, 0.05, (4, 4, 8, 9))
+        oracle = Oracle(OracleConfig(vocab=64, shape=(16, 16), profile=prof,
+                                     seed=3, context_sensitivity=1.0))
+        tokens, stats, _, _ = jacobi_decode(
+            oracle, 256, 16, TempParams(0.5, 3.0, 0.2),
+            SpecAcceptParams(8.0, 16.0, ENTROPY_AWARE), RngStream(3))
+        assert len(tokens) == 256
+        assert calls["score"] == stats.model_invocations
+        assert calls["as_logits"] <= 2 * calls["score"]
+        assert calls["validate_probs"] == 0
 
 
 class TestNextTokenLongGolden:

@@ -158,6 +158,34 @@ class TestCosineSchedule:
         with pytest.raises(ValueError):
             cosine_schedule(4, 5)
 
+    @staticmethod
+    def bump_loop(total_tokens, total_steps):
+        """The counts as cosine_schedule's earlier loop built them, on
+        Python ints: one largest-remainder unit at a time, then each zero
+        (the first one) bumped to 1 by taking a unit off the first largest
+        count, one at a time."""
+        t = np.arange(total_steps + 1) / total_steps
+        ideal = np.diff(1.0 - np.cos(t * np.pi / 2.0)) * total_tokens
+        floor = np.floor(ideal)
+        counts = floor.astype(int).tolist()
+        order = np.argsort(-(ideal - floor), kind="stable").tolist()
+        for i in order[:total_tokens - sum(counts)]:
+            counts[i] += 1
+        while 0 in counts:
+            counts[counts.index(0)] += 1
+            counts[counts.index(max(counts))] -= 1
+        return tuple(sorted(counts))
+
+    def test_matches_the_bump_loop(self):
+        # every (tokens, steps) with steps <= tokens <= 300, then a few
+        # large ones where most early counts start at zero
+        pairs = [(n, k) for n in range(1, 301) for k in range(1, n + 1)]
+        pairs += [(4096, 4096), (4099, 4096), (4096, 3000), (5000, 4999),
+                  (12345, 1000), (1 << 16, 256)]
+        for tokens, steps in pairs:
+            assert cosine_schedule(tokens, steps).counts == \
+                self.bump_loop(tokens, steps), (tokens, steps)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             StepSchedule(4, (1, 2))

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entropix import dist
@@ -256,3 +256,77 @@ class TestPipelineRows:
                                     for e in eps])
         with pytest.raises(ValueError, match="negative entropy"):
             dynamic_temperature(np.array([0.2, -0.5]), tp)
+
+
+def composed(cond, uncond, cfg_scale, tp, top_k, top_p, adjust):
+    """The pipeline as a chain of the public, checked ``dist`` functions."""
+    logits = dist.as_logits(cond)
+    if uncond is not None:
+        logits = dist.cfg_combine(logits, uncond, cfg_scale)
+    p = dist.softmax(logits)
+    eps = dist.support_entropy(p)
+    t = dynamic_temperature(eps, tp)
+    if adjust is not None:
+        t = adjust(t)
+    logits = dist.rescale_logits(logits, t)
+    if top_k is not None:
+        logits = dist.top_k_filter(logits, top_k)
+    if top_p is None:
+        return dist.softmax(logits), eps, t
+    return dist.top_p_softmax(logits, top_p), eps, t
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """Logits of one row or an [N, V] stack, spread up to +-1e3 or +-1e300,
+    with guidance on or off (and excluded entries only without it), and
+    the pipeline's options: top-k, top-p and a temperature floor down to
+    0.05."""
+    v = draw(st.integers(1, 12))
+    shape = (v,) if draw(st.booleans()) else (draw(st.integers(1, 5)), v)
+    spread = draw(st.sampled_from([1e3, 1e300]))
+    values = st.floats(-spread, spread)
+    size = int(np.prod(shape))
+    cond = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    cond = cond.reshape(shape)
+    uncond, cfg_scale = None, 1.0
+    if draw(st.booleans()):
+        uncond = np.array(draw(st.lists(values, min_size=size,
+                                        max_size=size))).reshape(shape)
+        cfg_scale = draw(st.sampled_from([1.5, 3.0, 0.5]))
+    else:
+        # exclude entries, keeping each row's last one
+        excluded = np.array(draw(st.lists(st.booleans(), min_size=size,
+                                          max_size=size))).reshape(shape)
+        excluded[..., -1] = False
+        cond[excluded] = dist.EXCLUDED
+    options = {
+        "top_k": draw(st.none() | st.integers(1, v + 1)),
+        "top_p": draw(st.none() | st.floats(0.0, 1.0, exclude_min=True)),
+        "adjust": draw(st.none() | st.builds(
+            lambda beta, floor: partial(scale_temperature, s=1,
+                                        sp=ScaleTempParams(beta, 1, floor)),
+            st.floats(0.0, 0.999), st.floats(0.05, 1.0))),
+    }
+    return cond, uncond, cfg_scale, options
+
+
+class TestPipelineChecksOnce:
+    """pipeline_probs checks its inputs once and then runs dist's unchecked
+    cores, with the first softmax's row max reused. Its output must still
+    be the public functions' chain, and valid rows: the decoders draw from
+    them without revalidating."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pipeline_inputs())
+    def test_equals_public_chain_and_rows_are_valid(self, case):
+        cond, uncond, cfg_scale, o = case
+        tp = preset("llamagen")
+        want = composed(cond, uncond, cfg_scale, tp, o["top_k"], o["top_p"],
+                        o["adjust"])
+        probs, eps, t = pipeline_probs(cond, uncond, cfg_scale, tp,
+                                       o["top_k"], o["top_p"], o["adjust"])
+        assert np.array_equal(probs.view(np.int64), want[0].view(np.int64))
+        assert np.array_equal(eps, want[1]) and np.array_equal(t, want[2])
+        for row in np.atleast_2d(probs):
+            dist.validate_probs(row)
