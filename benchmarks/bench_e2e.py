@@ -26,8 +26,8 @@ import sys
 
 LAYERS = ("oracle.logits_rows.self_s", "kernels.raw_logits_rows.self_s",
           "kernels.raw_logits.self_s", "temperature.pipeline_probs.self_s",
-          "oracle.digest_of.self_s", "oracle.running_digest.self_s",
-          "dist.sample_categorical.self_s", "dist.sample_rows.self_s",
+          "oracle.running_digest.self_s", "speculative.jacobi_decode.self_s",
+          "mask.mask_generate.self_s", "scales.scale_generate.self_s",
           "cli.run.self_s")
 MIN_SEEDS = 10
 

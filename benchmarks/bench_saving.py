@@ -38,7 +38,7 @@ import numpy as np
 
 from entropix import backend
 from entropix.cli import run
-from entropix.config import RunConfig, validate_config
+from entropix.config import RunConfig
 
 LENGTHS = (256, 1024, 4096)
 SEEDS = range(20)
@@ -55,9 +55,7 @@ RULES = [("baseline", dict(mode="spec-baseline"))] + [
 def decode(length: int, seed: int, keys: dict):
     """(invocations, accept tests, accepted) of one CLI decode; raises if
     it emits other than ``length`` tokens."""
-    cfg = RunConfig(seed=seed, length=length, **SPEC_CONTEXT, **keys)
-    validate_config(cfg)
-    res = run(cfg)
+    res = run(RunConfig(seed=seed, length=length, **SPEC_CONTEXT, **keys))
     if res.tokens.size != length:
         raise AssertionError(f"{keys} seed {seed} emitted "
                              f"{res.tokens.size} of {length} tokens")

@@ -2,19 +2,23 @@
 built into what a run decodes with.
 
 One assignment per line, ``#`` starts a comment, no sections. Unknown keys
-are rejected with the offending line number. Syntax and type problems raise
-ConfigSyntaxError (CLI exit 2); invalid parameter values raise
-ConfigValueError (CLI exit 3). ``validate_config`` checks what no object of
-the run checks (the mode, finiteness, sizes and the sampling options), then
-builds the run (``build_run``): the oracle, the random stream and every
-parameter object, each of which states its own ranges once.
+are rejected with the offending line number, and each value is read as the
+kind its ``RunConfig`` field is annotated with. Syntax and type problems
+raise ConfigSyntaxError (CLI exit 2); invalid parameter values raise
+ConfigValueError (CLI exit 3). ``build_run`` is the one gate every run
+passes: ``parse_config`` calls it, and so does ``cli.run``. It first checks
+what no object of the run checks (the mode, finiteness, positivity and,
+in ``_check_sizes``, every size), all before anything is allocated, then
+builds the oracle, the random stream and every parameter object, each of
+which states its own ranges once.
 """
 
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, get_args
 
+from entropix.dist import _check_top_k, _check_top_p
 from entropix.mask import StepSchedule, cosine_schedule
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
@@ -80,39 +84,47 @@ class RunConfig:
     length: Optional[int] = None
 
 
-_INT_KEYS = {"seed", "vocab", "height", "width", "top_k", "steps", "window", "length"}
-_FLOAT_KEYS = {"kappa_bg", "kappa_fg", "context_sensitivity", "t0", "alpha",
-               "theta", "top_p", "cfg_scale", "beta", "floor_temperature",
-               "accept_e", "accept_lambda"}
-_STR_KEYS = {"mode", "out_dir", "preset"}
-_BOOL_KEYS = {"literal_noise_decay"}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1")
 
 
-def _parse_rect(text: str, lineno: int):
-    parts = [p.strip() for p in text.split(",")]
+def _parse_rect(text: str):
+    """top,left,height,width."""
+    parts = text.split(",")
     if len(parts) != 4:
-        raise ConfigSyntaxError(lineno, "rect needs four integers: top,left,height,width")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigSyntaxError(lineno, "rect needs four integers") from None
+        raise ValueError(text)
+    return tuple(int(p) for p in parts)
 
 
-def _parse_ladder(text: str, lineno: int):
+def _parse_ladder(text: str):
+    """Comma-separated HxW entries."""
     shapes = []
-    for part in text.split(","):
-        part = part.strip().lower()
-        try:
-            h, w = part.split("x")
-            shapes.append((int(h), int(w)))
-        except ValueError:
-            raise ConfigSyntaxError(lineno, f"bad ladder entry {part!r}; expected HxW") from None
+    for part in text.lower().split(","):
+        h, w = part.split("x")
+        shapes.append((int(h), int(w)))
     return tuple(shapes)
+
+
+def _kind(annotation):
+    """The kind of value a field holds: X for Optional[X]."""
+    return next((a for a in get_args(annotation) if a is not type(None)),
+                annotation)
+
+
+# each key's parser, read off its RunConfig annotation; every parser raises
+# ValueError on text it does not take
+_PARSERS = {f.name: {int: int, float: float, str: str,
+                     bool: _parse_bool}.get(_kind(f.type))
+            for f in fields(RunConfig)}
+_PARSERS.update(rect=_parse_rect, ladder=_parse_ladder)
+_INT_KEYS = {key for key, parse in _PARSERS.items() if parse is int}
+_FLOAT_KEYS = {key for key, parse in _PARSERS.items() if parse is float}
 
 
 def parse_config(path: str) -> RunConfig:
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     try:
         with open(path) as f:
             lines = f.readlines()
@@ -127,25 +139,10 @@ def parse_config(path: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigSyntaxError(lineno, f"unknown key {key!r}")
         try:
-            if key == "rect":
-                setattr(cfg, key, _parse_rect(value, lineno))
-            elif key == "ladder":
-                setattr(cfg, key, _parse_ladder(value, lineno))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(value)
-                setattr(cfg, key, value.lower() in ("true", "1"))
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-        except ConfigSyntaxError:
-            raise
+            setattr(cfg, key, _PARSERS[key](value))
         except ValueError:
             raise ConfigSyntaxError(lineno, f"bad value {value!r} for key {key!r}") from None
 
@@ -155,14 +152,36 @@ def parse_config(path: str) -> RunConfig:
             cfg.seed = int(env_seed)
         except ValueError:
             raise ConfigValueError(f"ENTROPIX_SEED is not an integer: {env_seed!r}") from None
-    validate_config(cfg)
+    build_run(cfg)
     return cfg
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Check what no object of the run checks, sizes before anything is
-    allocated, then build the run; every invalid value raises
-    ConfigValueError."""
+class RunParts(NamedTuple):
+    """What a run decodes with (``build_run``)."""
+    oracle: Oracle
+    rng: RngStream
+    length: int  # tokens to decode in next-token and Jacobi modes
+    tp: TempParams
+    ladder: Tuple[Tuple[int, int], ...]
+    scale: ScaleTempParams
+    accept: SpecAcceptParams
+    schedule: Optional[StepSchedule]  # mask mode only
+
+
+def build_run(cfg: RunConfig) -> RunParts:
+    """The gate every run passes, then what the run decodes with; every
+    invalid value raises ConfigValueError.
+
+    The gate checks what no object of the run checks, all before anything
+    is allocated: the mode, float finiteness, positivity, the guidance
+    scale and every size (``_check_sizes``, which also resolves the
+    default length and ladder). Then come the oracle, the random stream
+    and the parameter objects, each of which refuses a value out of its own
+    range, and the sampling pipeline's own top-k and top-p rules. The
+    temperature (also under a preset), ladder and acceptance parameters are
+    built in every mode, so a bad value is refused whichever mode reads it;
+    the cosine schedule in mask mode only, where steps may not exceed
+    cells."""
     if cfg.mode not in MODES:
         raise ConfigValueError(f"unknown mode {cfg.mode!r}; valid modes: {', '.join(MODES)}")
     # the range checks are comparisons, which NaN passes
@@ -172,58 +191,41 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigValueError(f"{name} must be finite")
     if cfg.vocab < 2 or cfg.height < 1 or cfg.width < 1:
         raise ConfigValueError("vocab must be >= 2 and grid dimensions positive")
-    if cfg.top_k is not None and cfg.top_k < 1:
-        raise ConfigValueError("top_k must be >= 1")
-    if cfg.top_p is not None and not 0.0 < cfg.top_p <= 1.0:
-        raise ConfigValueError("top_p must be in (0, 1]")
     if cfg.steps < 1 or cfg.window < 1:
         raise ConfigValueError("steps and window must be >= 1")
     if cfg.length is not None and cfg.length < 1:
         raise ConfigValueError("length must be positive")
     if cfg.cfg_scale < 1.0:
         raise ConfigValueError("cfg_scale must be >= 1")
-    _check_sizes(cfg)
+    length, ladder = _check_sizes(cfg)
+    shape = (cfg.height, cfg.width)
     try:
-        build_run(cfg)
+        if cfg.top_k is not None:
+            _check_top_k(cfg.top_k)
+        if cfg.top_p is not None:
+            _check_top_p(cfg.top_p)
+        # an empty rect leaves the whole grid at kappa_bg
+        profile = profile_rect(shape, cfg.kappa_bg, cfg.kappa_fg,
+                               cfg.rect or (0, 0, 0, 0))
+        oracle = Oracle(OracleConfig(cfg.vocab, shape, profile, cfg.seed,
+                                     cfg.context_sensitivity))
+        tp = TempParams(cfg.t0, cfg.alpha, cfg.theta)
+        if cfg.preset is not None:
+            tp = preset(cfg.preset)
+        rule = ENTROPY_AWARE if cfg.mode == "spec-entropy" else BASELINE
+        return RunParts(
+            oracle, RngStream(cfg.seed), length, tp, ladder,
+            ScaleTempParams(cfg.beta, len(ladder), cfg.floor_temperature),
+            SpecAcceptParams(cfg.accept_e, cfg.accept_lambda, rule,
+                             cfg.literal_noise_decay),
+            cosine_schedule(shape[0] * shape[1], cfg.steps)
+            if cfg.mode == "mask" else None)
     except ValueError as exc:
         raise ConfigValueError(str(exc)) from None
 
 
-class RunParts(NamedTuple):
-    """What a run decodes with (``build_run``)."""
-    oracle: Oracle
-    rng: RngStream
-    tp: TempParams
-    ladder: Tuple[Tuple[int, int], ...]
-    scale: ScaleTempParams
-    accept: SpecAcceptParams
-    schedule: Optional[StepSchedule]  # mask mode only
-
-
-def build_run(cfg: RunConfig) -> RunParts:
-    """The oracle, the random stream and the parameter objects of a run;
-    each raises ValueError on a value out of its range. The temperature
-    (also under a preset), ladder and acceptance parameters are built in
-    every mode, so a bad value is refused whichever mode reads it; the
-    cosine schedule in mask mode only, where steps may not exceed cells."""
-    shape = (cfg.height, cfg.width)
-    # an empty rect leaves the whole grid at kappa_bg
-    profile = profile_rect(shape, cfg.kappa_bg, cfg.kappa_fg,
-                           cfg.rect or (0, 0, 0, 0))
-    oracle = Oracle(OracleConfig(cfg.vocab, shape, profile, cfg.seed,
-                                 cfg.context_sensitivity))
-    tp = TempParams(cfg.t0, cfg.alpha, cfg.theta)
-    if cfg.preset is not None:
-        tp = preset(cfg.preset)
-    ladder = cfg.ladder if cfg.ladder is not None else default_ladder(*shape)
-    rule = ENTROPY_AWARE if cfg.mode == "spec-entropy" else BASELINE
-    return RunParts(
-        oracle, RngStream(cfg.seed), tp, ladder,
-        ScaleTempParams(cfg.beta, len(ladder), cfg.floor_temperature),
-        SpecAcceptParams(cfg.accept_e, cfg.accept_lambda, rule,
-                         cfg.literal_noise_decay),
-        cosine_schedule(shape[0] * shape[1], cfg.steps)
-        if cfg.mode == "mask" else None)
+# the gate's earlier name, which the tests still import
+validate_config = build_run
 
 
 def default_ladder(height: int, width: int):
@@ -237,36 +239,40 @@ def default_ladder(height: int, width: int):
         h, w = h * 2, w * 2
 
 
-def _check_sizes(cfg: RunConfig) -> None:
+def _check_sizes(cfg: RunConfig):
+    """Bound every size of the run; returns its length and ladder, each
+    default resolved (the default ladder allocates nothing)."""
     if cfg.vocab > MAX_VOCAB:
         raise ConfigValueError(f"vocab must be <= {MAX_VOCAB}")
     cells = cfg.height * cfg.width
     if cells > MAX_CELLS:
         raise ConfigValueError(f"height * width must be <= {MAX_CELLS}")
-    if cfg.length is not None and cfg.length > MAX_LENGTH:
+    length = cfg.length or cells
+    if length > MAX_LENGTH:
         raise ConfigValueError(f"length must be <= {MAX_LENGTH}")
     if cfg.window > MAX_WINDOW:
         raise ConfigValueError(f"window must be <= {MAX_WINDOW}")
-    for h, w in cfg.ladder or ():
+    ladder = cfg.ladder if cfg.ladder is not None \
+        else default_ladder(cfg.height, cfg.width)
+    for h, w in ladder:
         if h < 1 or w < 1:
             raise ConfigValueError("ladder entries must be positive")
         if h * w > MAX_CELLS:
             raise ConfigValueError(
                 f"ladder entry {h}x{w} has more than {MAX_CELLS} cells")
     # rows of the largest batched oracle query the run makes
-    length = cfg.length if cfg.length is not None else cells
     if cfg.mode == "next-token":
         # blocks of up to a grid at context 0, else a row per query kind
         rows = min(cells, length) if cfg.context_sensitivity == 0.0 \
             else 1 + (cfg.cfg_scale != 1.0)
-    elif cfg.mode == "scale" and cfg.ladder is not None:
-        rows = max((h * w for h, w in cfg.ladder), default=0)
-    elif cfg.mode in ("spec-baseline", "spec-entropy"):
-        rows = min(cfg.window, length)
-    else:
-        # mask mode, and scale mode's default ladder, end on the full grid
+    elif cfg.mode == "mask":
         rows = cells
+    elif cfg.mode == "scale":
+        rows = max((h * w for h, w in ladder), default=0)
+    else:
+        rows = min(cfg.window, length)
     if rows * cfg.vocab > MAX_QUERY_LOGITS:
         raise ConfigValueError(
             f"one oracle query would hold {rows} x {cfg.vocab} logits; "
             f"the limit is {MAX_QUERY_LOGITS}")
+    return length, ladder

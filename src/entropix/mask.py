@@ -29,7 +29,7 @@ class StepSchedule:
     counts: Tuple[int, ...]
 
     def __post_init__(self):
-        if sum(self.counts) != self.total_tokens or any(k < 1 for k in self.counts):
+        if sum(self.counts) != self.total_tokens or min(self.counts, default=1) < 1:
             raise ValueError("schedule must conserve tokens with every count >= 1")
 
     @property

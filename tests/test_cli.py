@@ -251,6 +251,21 @@ class TestSizeLimits:
         with pytest.raises(ConfigValueError, match=match):
             validate_config(RunConfig(**keys))
 
+    @pytest.mark.parametrize("match,keys",
+                             OVERSIZED + [("length", dict(length=0))])
+    def test_every_run_passes_the_gate_first(self, monkeypatch, match, keys):
+        # profile_rect makes a run's first allocation: the gate refuses
+        # each of these before it, whether a config is built or decoded
+        def allocates(*args, **kwargs):
+            raise AssertionError("profile_rect ran before the gate refused")
+
+        monkeypatch.setattr(config, "profile_rect", allocates)
+        cfg = RunConfig(**keys)
+        with pytest.raises(ConfigValueError, match=match):
+            config.build_run(cfg)
+        with pytest.raises(ConfigValueError, match=match):
+            run(cfg)
+
     @pytest.mark.parametrize("keys", AT_LIMIT)
     def test_limit_admitted(self, keys):
         validate_config(RunConfig(**keys))

@@ -487,6 +487,27 @@ class TestSampleRows:
         p = np.array([[0.25, 0.75 - 1e-12, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         assert dist.sample_rows(p, [1.0 - 1e-15, 0.999]).tolist() == [1, 0]
 
+    @pytest.mark.parametrize("u", [1.0 - 1e-15, np.nextafter(1.0, 0.0)])
+    def test_scalar_draw_takes_the_same_edges(self, u):
+        # each row's total rounds below u or holds trailing zero mass, so
+        # the scalar draw's top-edge clamp and zero-mass backoff decide its
+        # token, which must be the row-wise core's
+        p = np.array([[0.25, 0.75 - 1e-12, 0.0, 0.0],
+                      [0.5, 0.5 - 1e-12, 0.0, 0.0],
+                      [1.0 - 1e-12, 0.0, 0.0, 0.0],
+                      [0.1, 0.2, 0.3, 0.4 - 1e-12],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+
+        class Fixed:
+            def uniform(self):
+                return u
+
+        rows = dist._sample_rows(p, np.full(len(p), u)).tolist()
+        assert rows == [1, 1, 0, 3, 2, 3]
+        assert [dist.inverse_cdf(r, u) for r in p] == rows
+        assert [dist.sample_categorical(r, Fixed()) for r in p] == rows
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dist.sample_rows([[0.5, 0.6]], [0.1])
