@@ -21,7 +21,8 @@ import numpy as np
 
 from entropix import pgm
 from entropix.config import (_INT_KEYS, ConfigSyntaxError, ConfigValueError,
-                             RunConfig, build_run, parse_config)
+                             RunConfig, build_run, parse_config,
+                             read_config)
 from entropix.decode import next_token_generate
 from entropix.mask import mask_generate
 from entropix.scales import scale_generate
@@ -150,8 +151,8 @@ def write_artifacts(cfg: RunConfig, res: RunResult, out_dir: str,
 
 
 def cmd_generate(config_path: str, maps_only: bool = False) -> int:
-    cfg = parse_config(config_path)
-    res = run(cfg)
+    cfg = read_config(config_path)
+    res = run(cfg)  # the run's one build, which refuses a bad value
     write_artifacts(cfg, res, cfg.out_dir, maps_only)
     if maps_only:
         print(f"entropy map written to {cfg.out_dir} "

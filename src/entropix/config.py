@@ -6,7 +6,9 @@ are rejected with the offending line number, and each value is read as the
 kind its ``RunConfig`` field is annotated with. Syntax and type problems
 raise ConfigSyntaxError (CLI exit 2); invalid parameter values raise
 ConfigValueError (CLI exit 3). ``build_run`` is the one gate every run
-passes: ``parse_config`` calls it, and so does ``cli.run``. It first checks
+passes: ``cli.run`` calls it, once per run, so ``generate`` reads its
+config with ``read_config`` and builds the run there; ``parse_config``
+reads and gates a config, as ``sweep`` does its base. It first checks
 what no object of the run checks (the mode, finiteness, positivity and,
 in ``_check_sizes``, every size), all before anything is allocated, then
 builds the oracle, the random stream and every parameter object, each of
@@ -124,6 +126,15 @@ _FLOAT_KEYS = {key for key, parse in _PARSERS.items() if parse is float}
 
 
 def parse_config(path: str) -> RunConfig:
+    """The config at ``path``, read and passed through the gate."""
+    cfg = read_config(path)
+    build_run(cfg)
+    return cfg
+
+
+def read_config(path: str) -> RunConfig:
+    """The config at ``path``, read but not yet built: a value out of range
+    is refused where the run is built (``build_run``)."""
     cfg = RunConfig()
     try:
         with open(path) as f:
@@ -152,7 +163,6 @@ def parse_config(path: str) -> RunConfig:
             cfg.seed = int(env_seed)
         except ValueError:
             raise ConfigValueError(f"ENTROPIX_SEED is not an integer: {env_seed!r}") from None
-    build_run(cfg)
     return cfg
 
 

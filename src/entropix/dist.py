@@ -24,7 +24,12 @@ read from its sorted values: the k-th highest logit, or the probability
 that brings the descending cumulative mass to p. The row keeps the entries
 at or above the cut. Where more entries tie at the cut than places are
 left, the lower indices win, exactly as in a stable ranking; only such rows
-do extra work.
+do extra work. The same holds for sorting under top-p: a row whose largest
+probability reaches p keeps that entry alone, and that probability is
+1 / (sum of exp(a - row max)), bit for bit, since the row max's
+exponential is exp(0) = 1. ``top_p_softmax`` writes such a row one-hot
+without sorting it (``_top_p_softmax`` says why that is exact); at a low
+temperature most rows are such.
 
 ``np.exp`` has slow lanes, and a softmax at a low temperature lives in
 them. Where the result is subnormal (inputs from about -708 down to
@@ -267,18 +272,20 @@ def top_p_filter(logits, p: float) -> np.ndarray:
     _check_top_p(p)
     if p == 1.0:
         return a.copy()
-    return np.where(_top_p_keep(a, p)[0], a, EXCLUDED)
+    return np.where(_top_p_keep(_softmax(a), p), a, EXCLUDED)
 
 
 def top_p_softmax(logits, p: float) -> np.ndarray:
     """softmax(top_p_filter(logits, p)), bit for bit, with one
     exponentiation instead of two.
 
-    The filtered row's softmax subtracts the highest kept logit. Where that
-    is the row's maximum, its exponentials are the kept entries of the
-    exponentials top-p ranked by, so those are summed and divided again.
-    A row whose top probabilities tie while their logits differ can lose
-    its maximum to a lower-index tie; only such a row is recomputed.
+    A row whose largest probability reaches p keeps that entry alone, and
+    is one-hot; only the other rows are sorted. The filtered row's softmax
+    subtracts the highest kept logit. Where that is the row's maximum, its
+    exponentials are the kept entries of the exponentials top-p ranked by,
+    so those are summed and divided again. A row whose top probabilities
+    tie while their logits differ can lose its maximum to a lower-index
+    tie; only such a row is recomputed.
     """
     a = as_logits(logits)
     _check_top_p(p)
@@ -286,10 +293,42 @@ def top_p_softmax(logits, p: float) -> np.ndarray:
 
 
 def _top_p_softmax(a: np.ndarray, p: float) -> np.ndarray:
-    """``top_p_softmax`` of checked logits and p."""
+    """``top_p_softmax`` of checked logits and p.
+
+    Peaked rows: the row max's exponential is exp(0) = 1 and every other
+    one is at most 1, so a row's largest probability is 1 / total, bit for
+    bit, and it is the first term of the descending cumulative mass. The
+    nucleus is that entry alone exactly when 1 / total >= p. Such a row is
+    written one-hot, in the exponentials' own buffer, at the first index of
+    its largest probability: the entry the sort path keeps, also where a
+    lower logit's probability rounds to a tie with it, and which that
+    path renormalizes to exactly 1 (x / x). Only the other rows are
+    sorted, with the exponentials already computed; a stack whose rows
+    all peak runs whole-stack operations alone.
+    """
     if p == 1.0:
         return _softmax(a)
-    keep, e, m = _top_p_keep(a, p)
+    e, total, m = _shifted_exp(a)
+    peaked = np.divide(1.0, total) >= p
+    if not peaked.any():
+        return _nucleus_softmax(a, e, total, m, p)
+    rest = np.flatnonzero(~peaked)  # only a stack has rows left here
+    if rest.size:
+        tail = _nucleus_softmax(a[rest], e[rest], total[rest], m[rest], p)
+    e /= total
+    top = np.argmax(e, axis=-1, keepdims=True)
+    e.fill(0.0)
+    np.put_along_axis(e, top, 1.0, axis=-1)
+    if rest.size:
+        e[rest] = tail
+    return e
+
+
+def _nucleus_softmax(a, e, total, m, p) -> np.ndarray:
+    """``_top_p_softmax`` of rows whose exponentials e = exp(a - m), with
+    their sums ``total``, are given, in e's buffer: the top-p mask, then
+    the kept exponentials renormalized."""
+    keep = _top_p_keep(e / total, p)
     e *= keep
     rows = a.ndim > 1
     e /= np.add.reduce(e, axis=-1, keepdims=rows)
@@ -308,18 +347,16 @@ def _check_top_p(p: float) -> None:
         raise ValueError("top-p requires p in (0, 1]")
 
 
-def _top_p_keep(a: np.ndarray, p: float):
-    """(mask of the top-p entries, the exponentials exp(a - row max) they
-    were ranked by, the row max)."""
-    e, total, m = _shifted_exp(a)
-    q = e / total
+def _top_p_keep(q: np.ndarray, p: float) -> np.ndarray:
+    """The mask of the top-p entries of the probability rows ``q``: the
+    sort path."""
     ranked = np.sort(q, axis=-1)
     # the cumulative mass in descending order, short of the last entry:
     # counting the sums below p is searchsorted-left, and leaving the
     # total out keeps all V where rounding leaves it below p
     cum = ranked[..., :0:-1].cumsum(axis=-1)
     n_keep = np.add.reduce(cum < p, axis=-1) + 1
-    return _keep_highest(q, ranked, n_keep), e, m
+    return _keep_highest(q, ranked, n_keep)
 
 
 def cfg_combine(cond, uncond, scale: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropix import config, pgm
+from entropix import cli, config, pgm
 from entropix._kernels_py import _BLOCK_ELEMS
 from entropix.cli import SWEEP_PARAMS, main, run
 from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
@@ -566,6 +566,37 @@ class TestCommandPaths:
         written = Path(artifact(tmp_path, "sweep.csv")).read_text()
         assert capsys.readouterr().out == written
         assert len(written.splitlines()) == 1 + len(values.split(","))
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = config.build_run
+
+        def counted(cfg):
+            builds.append(cfg.mode)
+            return build(cfg)
+
+        monkeypatch.setattr(config, "build_run", counted)
+        monkeypatch.setattr(cli, "build_run", counted)
+        return builds
+
+    @pytest.mark.parametrize("command", ["generate", "entropy-map"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generate_builds_the_run_once(self, tmp_path, monkeypatch,
+                                          command, mode):
+        # reading the config builds nothing; cli.run builds the run's
+        # objects once, its random stream among them
+        builds = self.count_builds(monkeypatch)
+        cfg = base_config(tmp_path, mode, "length = 32\nwindow = 4\n")
+        assert main([command, cfg]) == 0
+        assert builds == [mode]
+
+    def test_sweep_builds_once_per_value(self, tmp_path, monkeypatch):
+        # plus once for the gate on the config it starts from
+        builds = self.count_builds(monkeypatch)
+        cfg = base_config(tmp_path, "spec-entropy", "length = 32\n")
+        assert main(["sweep", cfg, "e", "4,8,16"]) == 0
+        assert len(builds) == 1 + 3
 
     def test_entropy_map_summary_line(self, tmp_path, capsys):
         assert main(["entropy-map", base_config(tmp_path)]) == 0

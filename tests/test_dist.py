@@ -374,6 +374,96 @@ class TestTopPSoftmax:
         assert dist.top_p_softmax(np.zeros((0, 5)), 0.5).shape == (0, 5)
 
 
+def peaked_rows(a, p):
+    """Which rows of ``a`` keep their top entry alone under top-p p: those
+    whose largest probability, 1 / sum(exp(a - max)), reaches p."""
+    e = np.exp(a - np.max(a, axis=-1, keepdims=True))
+    return 1.0 / e.sum(axis=-1) >= p
+
+
+class TestTopPPeakedRows:
+    """Rows whose top probability reaches p are one-hot and skip the sort;
+    every result still equals softmax(top_p_filter(...)) bit for bit."""
+
+    @staticmethod
+    def check(a, p):
+        want = dist.softmax(dist.top_p_filter(a, p))
+        assert_same_bits(dist.top_p_softmax(a, p), want)
+        return want
+
+    def test_mixed_stack(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((64, 16)) * np.repeat([0.5, 40.0], 32)[:, None]
+        peaked = peaked_rows(a, 0.9)
+        assert 0 < peaked.sum() < len(a)
+        want = self.check(a, 0.9)
+        assert np.array_equal(want[peaked].max(axis=-1), np.ones(peaked.sum()))
+
+    @staticmethod
+    def all_peaked(seed):
+        # a spike 50 above the rest: probability at least 1 - 15 * e^-40
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((50, 16)) * 3.0
+        a[np.arange(50), rng.integers(16, size=50)] += 50.0
+        return a
+
+    def test_all_peaked_stack(self):
+        a = self.all_peaked(6)
+        assert peaked_rows(a, 0.9).all()
+        self.check(a, 0.9)
+        self.check(a * 100.0, 0.9)  # the slow exp lanes
+
+    def test_tie_below_the_maximum(self):
+        # at a tiny p the nucleus is one entry; LOST_MAX_ROW's first
+        # probability rounds to a tie with the max logit's, at index 0
+        row = np.array(LOST_MAX_ROW)
+        assert peaked_rows(row, 1e-12)
+        want = self.check(row, 1e-12)
+        assert want.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.argmax(row) == 5
+        self.check(np.stack([row, row[::-1]]), 1e-12)
+
+    def test_one_row(self):
+        row = np.array([0.0, 8.0, -1.0, 8.0 - 1e-9, 3.0])
+        assert not peaked_rows(row, 0.999)
+        self.check(row, 0.9)  # peaked
+        self.check(row, 0.999)
+
+    def test_p_one_ulp_below_one(self):
+        p = np.nextafter(1.0, 0.0)
+        a = np.array([[0.0, -800.0, -900.0], [0.0, -30.0, -40.0],
+                      [0.0, -1.0, -2.0]])
+        assert peaked_rows(a, p).tolist() == [True, False, False]
+        self.check(a, p)
+
+    @pytest.mark.parametrize("p", [1e-12, 0.5, np.nextafter(1.0, 0.0)])
+    def test_one_entry_rows(self, p):
+        assert_same_bits(self.check(np.array([[3.0], [-2.0]]), p),
+                         np.ones((2, 1)))
+        self.check(np.array([7.0]), p)
+
+    def test_peaked_rows_skip_the_sort(self, monkeypatch):
+        rows = []
+        sort_path = dist._top_p_keep
+
+        def counted(q, p):
+            rows.append(len(q))
+            return sort_path(q, p)
+
+        monkeypatch.setattr(dist, "_top_p_keep", counted)
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((40, 16)) * np.repeat([0.5, 40.0], 20)[:, None]
+        dist.top_p_softmax(a, 0.9)
+        assert rows == [np.count_nonzero(~peaked_rows(a, 0.9))]
+
+        def raiser(q, p):
+            raise AssertionError("a peaked row reached the sort path")
+
+        monkeypatch.setattr(dist, "_top_p_keep", raiser)
+        dist.top_p_softmax(self.all_peaked(8), 0.9)
+        dist.top_p_softmax(np.array(LOST_MAX_ROW), 1e-12)
+
+
 class TestCfgCombine:
     def test_scale_one_identity(self):
         c = np.array([2.0, 0.0])
