@@ -32,13 +32,15 @@ MODES = ("next-token", "mask", "scale", "spec-baseline", "spec-entropy")
 
 # Size limits, checked before anything is allocated. They admit an
 # LLM-sized vocabulary, grids and ladder entries of up to 2^20 cells, and
-# 2^24 logits per oracle query (128 MiB of float64, which the sampling
-# pipeline copies a few times). A query scores rows x vocab logits, so
-# where it covers the whole grid (mask mode, scale mode's largest scale,
-# next-token at context 0 without a shorter length) the grid is bounded by
-# 2^24 / vocab cells: 512x512 at the default vocab of 64, 1024x1024 at a
-# vocab of 16. MAX_CELLS also keeps every scale below
-# scales.SCALE_STRIDE = 2^24, so the position keys of two scales never meet.
+# 2^24 logits per logical oracle query. A query that covers many positions
+# on one digest is scored a cache block of rows at a time
+# (decode.score_draw), so its working memory is one block and its outputs
+# are O(rows). A query scores rows x vocab logits, so where it covers the
+# whole grid (mask mode, scale mode's largest scale, next-token at context
+# 0 without a shorter length) the grid is bounded by 2^24 / vocab cells:
+# 512x512 at the default vocab of 64, 1024x1024 at a vocab of 16. MAX_CELLS
+# also keeps every scale below scales.SCALE_STRIDE = 2^24, so the position
+# keys of two scales never meet.
 MAX_VOCAB = 1 << 18
 MAX_CELLS = 1 << 20
 MAX_LENGTH = 1 << 20

@@ -7,8 +7,9 @@ per-position dynamic temperature, so low-entropy (high-T) positions compete
 with noisier scores.
 
 Each step is one batched pass: every open position shares the step's
-conditioning digest, so one oracle query returns all their logits and the
-pipeline, the token draws and the confidences run row-wise over them.
+conditioning digest, so the step is one logical oracle query, which
+``decode.score_draw`` scores and draws a cache block of rows at a time, and
+the confidences run row-wise over its outputs.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from entropix import dist
-from entropix.decode import query_kinds, score
+from entropix.decode import query_kinds, score_draw
 from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
 from entropix.temperature import TempParams
@@ -121,17 +122,19 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
                   cfg_scale: float = 1.0):
     """Full mask-prediction loop.
 
-    Each step scores all open positions in one batch (``decode.score``);
-    they share the digest of the frozen grid, which a ``RunningDigest``
-    keeps by appending each step's newly accepted pairs, and the query
-    takes that one digest for all of them. Only the context half of a
-    logits row depends on it: the rest of every grid position's inputs,
-    its position noise included, is derived once, before the first step
-    (``Oracle.position_inputs``, conditional and, under guidance,
-    unconditional), and each step's queries read the open rows of it. It
-    then draws 2 uniforms per open
-    position in row-major order: the token's inverse-CDF uniform, then its
-    Gumbel uniform.
+    Each step draws 2 uniforms per open position in row-major order, the
+    token's inverse-CDF uniform, then its Gumbel uniform, and then scores
+    and draws all open positions as one logical query
+    (``decode.score_draw``, a cache block of rows at a time, so no
+    [open, V] stack is built); the core returns each drafted token's
+    probability, which its confidence reads. The open positions share the
+    digest of the frozen grid, which a ``RunningDigest`` keeps by appending
+    each step's newly accepted pairs, and the query takes that one digest
+    for all of them. Only the context half of a logits row depends on it:
+    the rest of every grid position's inputs, its position noise included,
+    is derived once, before the first step (``Oracle.position_inputs``,
+    conditional and, under guidance, unconditional), and each step's
+    queries read the open rows of it.
 
     The draft, confidence and entropy grids persist across steps, and each
     step writes its values at the open positions only. Accepted positions
@@ -156,12 +159,11 @@ def mask_generate(oracle: Oracle, shape: Tuple[int, int],
     for k_t in schedule.counts:
         open_pos = np.flatnonzero(~state.accepted)
         n = open_pos.shape[0]
-        probs, eps, t = score(oracle, open_pos, running.digest(), tp, top_k,
-                              top_p, cfg_scale, inputs=inputs)
         u = rng.uniforms(2 * n).reshape(n, 2)  # (token, Gumbel) per position
-        drafted = dist._sample_rows(probs, u[:, 0])
-        conf[open_pos] = confidence_rows(probs[np.arange(n), drafted], t,
-                                         u[:, 1])
+        drafted, p_drafted, eps, t = score_draw(
+            oracle, open_pos, running.digest(), u[:, 0], tp, top_k, top_p,
+            cfg_scale, inputs=inputs)
+        conf[open_pos] = confidence_rows(p_drafted, t, u[:, 1])
         drafts[open_pos] = drafted
         entropy[open_pos] = eps
         temps.extend(t.tolist())

@@ -210,12 +210,14 @@ class Oracle:
         conditioned on the prefix digest ``digests[n]``, or on ``digests``
         itself when it is one digest that every row shares.
 
-        A decode step that scores many positions (every open mask position,
-        every Jacobi window slot, every position of a scale) makes this
-        single call, as one forward pass would. Mask and scale decoding
-        pass one shared digest, which the array arithmetic broadcasts;
-        Jacobi windows pass one digest per slot. ``kappas`` overrides the
-        profile lookup per row. ``inputs`` is a ``position_inputs`` span
+        A Jacobi window makes this single call for its slots, as one
+        forward pass would, with one digest per slot. A decode step that
+        scores many positions on one shared digest (every open mask
+        position, every position of a scale) is still one logical query,
+        counted once in ``model_invocations``, but ``decode.score_draw``
+        makes it a cache block of rows at a time, one call per block; the
+        array arithmetic broadcasts the shared digest. ``kappas`` overrides
+        the profile lookup per row. ``inputs`` is a ``position_inputs`` span
         that covers every position and holds this query kind: the query
         reads its rows' keys, targets, gaps and noise from it and never
         writes it, so only the context term is hashed, and one span serves

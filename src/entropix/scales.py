@@ -11,8 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from entropix import dist
-from entropix.decode import score
+from entropix.decode import score_draw
 from entropix.oracle import Oracle, RunningDigest
 from entropix.rng import RngStream
 from entropix.temperature import TempParams
@@ -56,9 +55,12 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
     """Decode every scale in ladder order, each conditioned on all coarser ones.
 
     All positions of a scale share one conditioning prefix, so each scale is
-    scored in one batch (``decode.score``) on that prefix's one digest, with
-    one uniform drawn per position in row-major order. Besides its outputs,
-    the loop carries only the coarser scales' ``RunningDigest``.
+    one logical query on that prefix's one digest, with one uniform drawn
+    per position in row-major order before it is scored. The query is
+    scored and drawn a cache block of rows at a time
+    (``decode.score_draw``), so its working memory is one block and no
+    [h * w, V] stack is built. Besides its outputs, the loop carries only
+    the coarser scales' ``RunningDigest``.
 
     Returns (list of token grids, list of entropy maps, per-scale mean entropy,
     applied-temperature list).
@@ -81,13 +83,13 @@ def scale_generate(oracle: Oracle, ladder: Sequence[Tuple[int, int]],
         i, j = np.divmod(np.arange(h * w), w)
         kappas = oracle.cfg.profile[i * ph // h, j * pw // w]
         # every position of a scale conditions on the same coarser scales,
-        # so the query takes their one digest
-        probs, eps, t = score(
-            oracle, positions, running.digest(), tp, top_k, top_p,
-            cfg_scale, kappas, partial(scale_temperature, s=s, sp=sp))
-        # one uniform per position in row-major order
-        tokens = dist._sample_rows(probs, rng.uniforms(h * w))
-        temps.extend(t)
+        # so the query takes their one digest; one uniform per position in
+        # row-major order
+        tokens, _, eps, t = score_draw(
+            oracle, positions, running.digest(), rng.uniforms(h * w), tp,
+            top_k, top_p, cfg_scale, kappas,
+            partial(scale_temperature, s=s, sp=sp))
+        temps.extend(t.tolist())
         running.append(tokens, positions)
         grids.append(tokens.reshape(h, w))
         entropy_maps.append(eps.reshape(h, w))

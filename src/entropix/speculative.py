@@ -211,7 +211,7 @@ def jacobi_decode(oracle: Oracle, length: int, window: int, tp: TempParams,
         q, eps_rows, t_rows = score(oracle, positions,
                                     _mix64_vec(folds[:w_eff]), tp, top_k,
                                     top_p, cfg_scale, inputs=span)
-        temps.extend(t_rows)
+        temps.extend(t_rows.tolist())
 
         # the accept tests of the m verifiable slots read u[:m]; the tests
         # up to the first rejection are the ones made

@@ -7,6 +7,8 @@ import pytest
 from scipy import stats as sstats
 
 from entropix import _kernels_py, decode, dist, speculative
+from entropix.cli import run
+from entropix.config import RunConfig
 from entropix.decode import next_token_generate, score
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
@@ -304,3 +306,51 @@ class TestNextTokenLongGolden:
         assert float_digest(tokens) == "40eae20490566be9"
         assert float_digest(eps) == "225cb8a00efc18c8"
         assert float_digest(temps) == "2b5320e04274bd09"
+
+
+# 8x8 at V = 16, as the goldens: mask and scale under context, next-token
+# at context 0 over a length that crosses a grid
+BLOCK_CONFIGS = [
+    dict(mode="mask", context_sensitivity=0.5, steps=5),
+    dict(mode="scale", context_sensitivity=0.5),
+    dict(mode="next-token", length=100),
+]
+
+
+class TestScoreDrawBlocks:
+    """``score_draw`` splits a query into blocks of ``_BLOCK_ELEMS //
+    vocab`` rows, and no golden reaches a second block; with the block cut
+    to a few rows every decode must equal the one-block run exactly."""
+
+    @staticmethod
+    def decode_arrays(cfg):
+        res = run(cfg)
+        return [res.tokens, res.entropy_map.view(np.int64),
+                np.asarray(res.temps).view(np.int64),
+                np.asarray(res.scale_mean_entropy or []).view(np.int64)]
+
+    @pytest.mark.parametrize("keys", BLOCK_CONFIGS,
+                             ids=lambda k: k["mode"])
+    @pytest.mark.parametrize("options", [
+        dict(cfg_scale=c, **f) for c, f in itertools.product(
+            (1.0, 1.5), ({}, dict(top_k=5), dict(top_p=0.8)))],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_blocks_of_a_few_rows_match(self, monkeypatch, keys, options):
+        cfg = RunConfig(vocab=16, height=8, width=8, kappa_bg=0.9,
+                        kappa_fg=0.1, rect=(2, 2, 4, 4), preset="llamagen",
+                        seed=3, **keys, **options)
+        want = self.decode_arrays(cfg)
+        sizes = []
+
+        def recording(oracle, positions, *args, **kwargs):
+            sizes.append(len(positions))
+            return score(oracle, positions, *args, **kwargs)
+
+        monkeypatch.setattr(decode, "score", recording)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(decode, "_BLOCK_ELEMS", rows * cfg.vocab)
+            sizes.clear()
+            got = self.decode_arrays(cfg)
+            assert max(sizes) == rows
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)

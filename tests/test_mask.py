@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from entropix import _kernels_py, mask
+from entropix import _kernels_py, decode
 from entropix.mask import (MaskState, StepSchedule, confidence_rows,
                            cosine_schedule, mask_generate, update_mask)
 from entropix.oracle import Oracle, OracleConfig, mask_token, profile_rect
@@ -274,8 +274,8 @@ class TestMaskGenerate:
             seen.append(np.broadcast_to(digests, len(positions)).tolist())
             return score(oracle, positions, digests, *args, **kwargs)
 
-        score = mask.score
-        monkeypatch.setattr(mask, "score", recording)
+        score = decode.score
+        monkeypatch.setattr(decode, "score", recording)
         o = small_oracle()
         _, _, hist, _ = mask_generate(o, (8, 8), cosine_schedule(64, 8),
                                       preset("llamagen"), RngStream(11))
@@ -299,8 +299,8 @@ class TestMaskGenerate:
                                   out[1].tolist())))
             return out
 
-        score = mask.score
-        monkeypatch.setattr(mask, "score", recording)
+        score = decode.score
+        monkeypatch.setattr(decode, "score", recording)
         _, emap, hist, _ = mask_generate(
             small_oracle(seed=seed), (8, 8), cosine_schedule(64, 8),
             preset("llamagen"), RngStream(seed), top_k=5, cfg_scale=1.5)

@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entropix import dist, scales
+from entropix import decode, dist
+from entropix.config import RunConfig, build_run
 from entropix.oracle import Oracle, OracleConfig, profile_rect
 from entropix.rng import RngStream
 from entropix.scales import (SCALE_STRIDE, ScaleTempParams, scale_generate,
@@ -136,8 +138,8 @@ class TestScaleGenerate:
             seen.append(np.broadcast_to(digests, len(positions)).tolist())
             return score(oracle, positions, digests, *args, **kwargs)
 
-        score = scales.score
-        monkeypatch.setattr(scales, "score", recording)
+        score = decode.score
+        monkeypatch.setattr(decode, "score", recording)
         o = make_oracle()
         ladder = [(1, 1), (2, 2), (4, 4)]
         grids, _, _, _ = scale_generate(o, ladder, preset("llamagen"),
@@ -257,3 +259,28 @@ class TestScaleFloorGolden:
         assert float_digest(np.concatenate([e.ravel() for e in emaps])) \
             == "6faf911382be8f5c"
         assert float_digest(temps) == "d15144ad126f1268"
+
+
+class TestScaleMemory:
+    def test_peak_stays_below_one_stack(self):
+        # perfbench's scale-ladder config: a 128x128 scale is one logical
+        # query of 16,384 rows, which decode.score_draw scores a cache
+        # block at a time. tracemalloc counts numpy's buffers, and the
+        # count is deterministic; scoring the scale whole peaked at about
+        # 45 MiB, the block-wise core at about 3 MiB.
+        cfg = RunConfig(mode="scale", vocab=64, height=128, width=128,
+                        preset="llamagen", kappa_bg=0.9, kappa_fg=0.1,
+                        rect=(32, 32, 64, 64), context_sensitivity=0.5,
+                        cfg_scale=1.5, top_p=0.9, beta=0.3,
+                        floor_temperature=0.05)
+        r = build_run(cfg)
+        tracemalloc.start()
+        try:
+            grids, _, _, _ = scale_generate(r.oracle, r.ladder, r.tp,
+                                            r.scale, r.rng, cfg.top_k,
+                                            cfg.top_p, cfg.cfg_scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grids[-1].shape == (128, 128)
+        assert peak < 128 * 128 * 64 * 8  # one [16384, 64] float64 stack
