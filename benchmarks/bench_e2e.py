@@ -28,7 +28,8 @@ LAYERS = ("oracle.logits_rows.self_s", "kernels.raw_logits_rows.self_s",
           "kernels.raw_logits.self_s", "temperature.pipeline_probs.self_s",
           "oracle.running_digest.self_s", "speculative.jacobi_decode.self_s",
           "mask.mask_generate.self_s", "scales.scale_generate.self_s",
-          "cli.run.self_s", "cli.write_artifacts.self_s")
+          "cli.run.self_s", "cli.write_artifacts.self_s",
+          "pgm.write_pgm.self_s")
 MIN_SEEDS = 10
 
 

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from entropix import pgm
+from entropix import pgm, textio
 from entropix.config import (_INT_KEYS, ConfigSyntaxError, ConfigValueError,
                              RunConfig, build_run, parse_config,
                              read_config)
@@ -129,18 +129,14 @@ def write_csv(path, header, rows) -> str:
 def write_artifacts(cfg: RunConfig, res: RunResult, out_dir: str,
                     maps_only: bool = False) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "entropy.csv"), "w", newline="\n") as f:
-        # Python floats and ints from tolist() format faster than numpy
-        # scalars, to the same text
-        for row in res.entropy_map.tolist():
-            f.write(",".join([f"{v:.17g}" for v in row]) + "\n")
+    with open(os.path.join(out_dir, "entropy.csv"), "wb") as f:
+        textio.write_rows(f, res.entropy_map)
     pixels = pgm.entropy_to_pixels(res.entropy_map, cfg.vocab)
     pgm.write_pgm(os.path.join(out_dir, "entropy.pgm"), pixels)
     if maps_only:
         return
-    with open(os.path.join(out_dir, "tokens.csv"), "w", newline="\n") as f:
-        for row in res.tokens.tolist():
-            f.write(",".join(map(str, row)) + "\n")
+    with open(os.path.join(out_dir, "tokens.csv"), "wb") as f:
+        textio.write_rows(f, res.tokens)
     row = report_row(cfg, res)
     write_csv(os.path.join(out_dir, "report.csv"), list(row), [row])
     if res.scale_mean_entropy is not None:

@@ -29,7 +29,14 @@ probability reaches p keeps that entry alone, and that probability is
 1 / (sum of exp(a - row max)), bit for bit, since the row max's
 exponential is exp(0) = 1. ``top_p_softmax`` writes such a row one-hot
 without sorting it (``_top_p_softmax`` says why that is exact); at a low
-temperature most rows are such.
+temperature most rows are such. ``pipeline_probs`` decides most of them
+before the rescale, from the first softmax's row sum S at the unscaled
+logits: the other lanes weigh at most R = S (1 + V 2^-48) - 1 there, and
+at temperature t at most R^(1/t) (V - 1)^max(0, 1 - 1/t). Where that, with
+a margin for the rescale's rounding (|row max| <= 2^40 t, a factor
+1 + 2^-9 and 2^-48 a lane), is at most min(1/p - 1, 1) / 2, the row is
+certain to be one-hot at its first largest logit and never reaches
+``_top_p_softmax`` (its docstring gives the argument).
 
 ``np.exp`` has slow lanes, and a softmax at a low temperature lives in
 them. Where the result is subnormal (inputs from about -708 down to

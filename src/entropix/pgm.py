@@ -4,6 +4,8 @@ from typing import Tuple
 
 import numpy as np
 
+from entropix import textio
+
 
 def entropy_to_pixels(entropy_map: np.ndarray, vocab: int) -> np.ndarray:
     """Scale entropies in [0, ln V] onto [0, 255]."""
@@ -13,13 +15,15 @@ def entropy_to_pixels(entropy_map: np.ndarray, vocab: int) -> np.ndarray:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    pix = np.asarray(pixels)
+    """Write pixels, each in [0, 255], as an ASCII (P2) file; refuse any
+    other value with a ValueError before the file is opened."""
+    pix = np.asarray(pixels).astype(np.int64)
     h, w = pix.shape
-    lines = [f"P2", f"{w} {h}", "255"]
-    for row in pix.astype(np.int64).tolist():  # Python ints format faster
-        lines.append(" ".join(map(str, row)))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    if pix.size and not (pix.min() >= 0 and pix.max() <= 255):
+        raise ValueError("pixel out of range")
+    with open(path, "wb") as f:
+        f.write(f"P2\n{w} {h}\n255\n".encode())
+        textio.write_rows(f, pix, " ")
 
 
 def read_pgm(path) -> np.ndarray:

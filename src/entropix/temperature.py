@@ -6,6 +6,7 @@ is fixed: guidance combine -> entropy read -> temperature rescale -> top-k ->
 top-p -> softmax -> categorical draw.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -104,6 +105,34 @@ def pipeline_probs(cond_logits,
     largest rescaled logit, and top-k keeps each row's maximum. Where m / t
     overflows the softmax refuses it as an empty support, as it would the
     row's own max. Top-p finds its own max (``dist.top_p_softmax``).
+
+    Certain nuclei: under top-p with p < 1, a row whose nucleus the first
+    softmax already decides is written one-hot at the first index of its
+    largest guided logit, with no rescale, exponentiation or sort; only the
+    other rows run the rescale, the filter and ``dist._top_p_softmax``. Let
+    S be the row's first softmax sum (its max's lane is exp(0) = 1), V its
+    length, m its max and t its applied temperature.
+    - The other lanes' exponentials x = exp(l - m) sum to at most
+      R = S (1 + V 2^-48) - 1. The margin covers, many times over, S's
+      summation (at most V - 1 roundings), np.exp's error and the rounding
+      of l - m (at most 2^-53 x ln(1/x) <= 2^-53 / e a lane).
+    - At t those lanes weigh x^(1/t), which sum to at most
+      B = R^(1/t) (V - 1)^max(0, 1 - 1/t): superadditivity for t <= 1, the
+      power mean for t > 1.
+    - The chain rounds l / t and m / t, which moves a lane's exponent by at
+      most 2^-52 (|l - m| + 2 |m|) / t. With |m| <= 2^40 t that adds at
+      most 2^-52 a lane and a factor exp(2^-11), so the chain's other lanes
+      sum to at most Q = (B + V 2^-48) (1 + 2^-9), which also covers the
+      rounding of np.exp, of np.log and of this bound itself.
+    The row is certain where Q <= min(1/p - 1, 1) / 2, tested in logs. Then
+    the chain's row sum is at most (1 + Q)(1 + V 2^-53), so its reciprocal
+    still reaches p and top-p finds the row peaked. Every other lane's
+    exponential is at most 1/2, so no lane ties the max's 1, and no logit
+    ties the max (that lane would weigh 1). So the chain writes the row
+    one-hot at the first index of its largest guided logit: these bytes.
+    The cap at 1 matters for small p, where without it a lane just below
+    the max could round to the max's exponential and take the one-hot. At
+    p = 1 the chain runs the plain softmax, and no row is certain.
     """
     logits = dist.as_logits(cond_logits)
     if uncond_logits is not None:
@@ -121,16 +150,61 @@ def pipeline_probs(cond_logits,
     if adjust_temperature is not None:
         t = adjust_temperature(t)
     dist._check_temperature(t)
-    logits = dist._rescale_logits(logits, t)
-    if top_k is not None:
-        logits = dist._top_k_filter(logits, top_k)
-    if top_p is None:
-        probs = dist._softmax(logits, dist._rescale_logits(m, t))
-    else:  # the same as softmax(top_p_filter(...)), one exponentiation
-        probs = dist._top_p_softmax(logits, top_p)
+    sure = None if top_p is None else _certain(total, m, t,
+                                               logits.shape[-1], top_p)
+    if sure is not None and sure.any():
+        probs = _with_certain_rows(logits, e, sure, t, top_k, top_p)
+    else:
+        logits = dist._rescale_logits(logits, t)
+        if top_k is not None:
+            logits = dist._top_k_filter(logits, top_k)
+        if top_p is None:
+            probs = dist._softmax(logits, dist._rescale_logits(m, t))
+        else:  # the same as softmax(top_p_filter(...)), one exponentiation
+            probs = dist._top_p_softmax(logits, top_p)
     if probs.ndim == 1:
         return probs, float(eps), t
     return probs, eps, t
+
+
+# the margins of the certain-nucleus bound (see pipeline_probs)
+_SURE_LANE = 2.0 ** -48  # per lane
+_SURE_SLACK = 1.0 + 2.0 ** -9
+_SURE_SCALE = 2.0 ** 40  # the largest |row max| / t the bound admits
+
+
+def _certain(total, m, t, v: int, p: float):
+    """Which rows top-p at p must leave one-hot, one bool per row (a 1-D
+    row gets one), from the first softmax's row sums ``total`` and maxima
+    ``m``, the applied temperature t and the row length v: the test of
+    ``pipeline_probs``'s docstring; None where p leaves no row certain (at
+    p = 1, say)."""
+    cap = 0.5 * min(1.0 / p - 1.0, 1.0) / _SURE_SLACK - v * _SURE_LANE
+    if cap <= 0.0:
+        return None
+    if np.ndim(total):
+        total, m = total[:, 0], m[:, 0]
+    x = np.log(total * (1.0 + v * _SURE_LANE) - 1.0) / t
+    if v > 2:  # the power mean's factor, for t > 1
+        x = x + np.maximum(0.0, (1.0 - 1.0 / t) * math.log(v - 1))
+    return (x <= math.log(cap)) & (np.abs(m) <= _SURE_SCALE * t)
+
+
+def _with_certain_rows(logits, e, sure, t, top_k, p):
+    """The probabilities of rows some of which are certain (``sure``):
+    those are written one-hot in e's buffer at the first index of their
+    largest guided logit, and only the others run the chain."""
+    e.fill(0.0)
+    np.put_along_axis(e, np.argmax(logits, axis=-1, keepdims=True), 1.0,
+                      axis=-1)
+    if not sure.all():  # only a stack has rows left here
+        rest = np.flatnonzero(~sure)
+        logits = dist._rescale_logits(logits[rest],
+                                      t[rest] if np.ndim(t) else t)
+        if top_k is not None:
+            logits = dist._top_k_filter(logits, top_k)
+        e[rest] = dist._top_p_softmax(logits, p)
+    return e
 
 
 def sample_entropy_aware(cond_logits,

@@ -51,3 +51,21 @@ def test_reader_accepts_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_text("P2\n# a comment\n2 1\n255\n3 4\n")
     np.testing.assert_array_equal(pgm.read_pgm(path), [[3, 4]])
+
+
+@pytest.mark.parametrize("pixels", [[[300, -2]], [[256]], [[-1, 0]],
+                                    [[0, 255], [255, 1000]]])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, pixels):
+    # the header declares maxval 255, so a pixel outside [0, 255] would
+    # write a file that read_pgm refuses; no file is opened for it
+    path = tmp_path / "map.pgm"
+    with pytest.raises(ValueError, match="pixel out of range"):
+        pgm.write_pgm(path, pixels)
+    assert not path.exists()
+
+
+def test_writer_bounds_are_inclusive(tmp_path):
+    path = tmp_path / "map.pgm"
+    pgm.write_pgm(path, [[0, 255], [17, 3]])
+    assert path.read_text() == "P2\n2 2\n255\n0 255\n17 3\n"
+    np.testing.assert_array_equal(pgm.read_pgm(path), [[0, 255], [17, 3]])

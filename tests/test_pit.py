@@ -32,6 +32,9 @@ SPEC_CONTEXT = RunConfig(
     mode="spec-baseline", vocab=64, height=16, width=16, kappa_bg=0.95,
     kappa_fg=0.05, rect=(4, 4, 8, 9), context_sensitivity=1.0, t0=0.5,
     alpha=3.0, theta=0.2, window=16, length=4096)
+# the same under guidance 1.5 and top-p 0.8: filtered rows give the
+# residual resample supports that differ between windows
+SPEC_CONTEXT_TOP_P = replace(SPEC_CONTEXT, cfg_scale=1.5, top_p=0.8)
 # perfbench's seq-context setting: guidance 1.5 and top-k 16
 SEQ_CONTEXT = RunConfig(
     mode="next-token", vocab=64, height=64, width=64, preset="llamagen",
@@ -41,6 +44,9 @@ SEQ_CONTEXT = RunConfig(
 # and the surprise bound by a wide margin
 JACOBI_SEEDS = range(12)
 NEXT_TOKEN_SEEDS = range(8)
+# at 8 seeds the mutant reads KS p 4.8e-6 and z -18.3 under top-p, against
+# bounds of 1e-4 and -6; the exact sampler reads 0.33, -1.2 and lag -1.9
+JACOBI_TOP_P_SEEDS = range(8)
 
 
 def pit_statistics(cfg: RunConfig, seeds):
@@ -82,6 +88,10 @@ def test_jacobi_baseline_is_exact():
     assert_exact(*pit_statistics(SPEC_CONTEXT, JACOBI_SEEDS))
 
 
+def test_jacobi_baseline_is_exact_under_top_p():
+    assert_exact(*pit_statistics(SPEC_CONTEXT_TOP_P, JACOBI_TOP_P_SEEDS))
+
+
 def test_next_token_is_exact():
     assert_exact(*pit_statistics(SEQ_CONTEXT, NEXT_TOKEN_SEEDS))
 
@@ -91,5 +101,12 @@ def test_redraw_from_new_mutant_fails(monkeypatch):
     # residual: the emitted tokens are likelier than the exact law's
     monkeypatch.setattr(speculative, "_residual", lambda p_new, p_old: p_new)
     ks_p, z, _ = pit_statistics(SPEC_CONTEXT, JACOBI_SEEDS)
+    assert ks_p < 1e-4
+    assert z < -6
+
+
+def test_redraw_from_new_mutant_fails_under_top_p(monkeypatch):
+    monkeypatch.setattr(speculative, "_residual", lambda p_new, p_old: p_new)
+    ks_p, z, _ = pit_statistics(SPEC_CONTEXT_TOP_P, JACOBI_TOP_P_SEEDS)
     assert ks_p < 1e-4
     assert z < -6

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entropix import dist
+from entropix import dist, temperature
 from entropix.oracle import Oracle, OracleConfig
 from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_temperature
@@ -330,3 +330,190 @@ class TestPipelineChecksOnce:
         assert np.array_equal(eps, want[1]) and np.array_equal(t, want[2])
         for row in np.atleast_2d(probs):
             dist.validate_probs(row)
+
+
+def fixed(T):
+    """A temperature adjuster that applies T to every row."""
+    return lambda t: np.full_like(t, T) if np.ndim(t) else T
+
+
+def edge_mass(v, T, p):
+    """The first-softmax mass of a row's other lanes at which
+    pipeline_probs's certain-nucleus test flips, at applied temperature T
+    and top-p p: the margin."""
+    cap = (0.5 * min(1 / p - 1, 1) / temperature._SURE_SLACK
+           - v * temperature._SURE_LANE)
+    h = max(0.0, 1 - 1 / T) * math.log(v - 1) if v > 2 else 0.0
+    return (1 + math.exp(T * (math.log(cap) - h))) / (
+        1 + v * temperature._SURE_LANE) - 1
+
+
+def edge_rows(v, T, p, factors, hot=0):
+    """One row per factor, 0 at ``hot`` and one value below 0 at every
+    other lane, whose other lanes' mass is the margin's times the
+    factor."""
+    rows = np.empty((len(factors), v))
+    for row, f in zip(rows, factors):
+        row[:] = math.log(edge_mass(v, T, p) * f / (v - 1))
+        row[hot] = 0.0
+    return rows
+
+
+# settings whose margin a row reaches with its other lanes below its max,
+# and where the row sum 1 + mass resolves a change of the mass by 1e-9
+EDGES = [(T, p, v) for T in (0.05, 0.3, 1.0, 2.5, 40.0)
+         for p in (0.9, 0.5, 0.2, 1e-3, 1 - 2.0 ** -30) for v in (2, 3, 64)
+         if 1e-5 < edge_mass(v, T, p) < (v - 1) / 4]
+
+
+def certain(logits, T, p):
+    """pipeline_probs's certain rows of unguided logits at temperature T."""
+    _, total, m = dist._shifted_exp(logits)
+    sure = temperature._certain(total, m, np.full(len(logits), T),
+                                logits.shape[-1], p)
+    return np.zeros(len(logits), dtype=bool) if sure is None else sure
+
+
+def assert_chain(logits, T, p, top_k=None):
+    """pipeline_probs equals the public chain bit for bit, on the stack and
+    on each row alone."""
+    tp = preset("llamagen")
+    got = pipeline_probs(logits, tp=tp, top_k=top_k, top_p=p,
+                         adjust_temperature=fixed(T))
+    want = composed(logits, None, 1.0, tp, top_k, p, fixed(T))
+    for g, w in zip(got, want):
+        assert np.array_equal(np.asarray(g).view(np.int64),
+                              np.asarray(w).view(np.int64))
+    if logits.ndim == 2:
+        for row, probs in zip(logits, got[0]):
+            one = pipeline_probs(row, tp=tp, top_k=top_k, top_p=p,
+                                 adjust_temperature=fixed(T))[0]
+            assert np.array_equal(one.view(np.int64), probs.view(np.int64))
+    return got[0]
+
+
+class TestCertainNuclei:
+    """Rows that top-p must leave one-hot are written one-hot from the first
+    softmax's row sum, with no rescale or second softmax; every result
+    still equals the public chain bit for bit."""
+
+    FACTORS = [1 - 1e-9, 1 + 1e-9, 1e-6, 0.5, 2.0]
+
+    def test_settings(self):
+        # T < 1 and T > 1, small p and p near 1, among the settings below
+        assert len(EDGES) > 30
+        assert {T > 1 for T, _, _ in EDGES} == {True, False}
+        assert {p for _, p, _ in EDGES} >= {1e-3, 1 - 2.0 ** -30}
+
+    @pytest.mark.parametrize("T, p, v", EDGES)
+    def test_rows_straddling_the_bound(self, T, p, v):
+        for hot in (0, v - 1):
+            rows = edge_rows(v, T, p, self.FACTORS, hot)
+            assert certain(rows, T, p).tolist() == [
+                True, False, True, True, False]
+            probs = assert_chain(rows, T, p)
+            assert_chain(rows, T, p, top_k=2)
+            assert (np.argmax(probs, axis=1) == hot).all()
+
+    @pytest.mark.parametrize("p", [np.nextafter(1.0, 0.0), 1.0])
+    def test_p_at_and_just_below_one(self, p):
+        # 1/p - 1 rounds to 0 or is 0: no row is certain
+        rows = np.array([[0.0, -800.0, -900.0], [0.0, -40.0, -50.0],
+                         [0.0, -1.0, -2.0]])
+        assert not np.any(certain(rows, 0.05, p))
+        assert_chain(rows, 0.05, p)
+        assert_chain(rows, 2.0, p, top_k=2)
+
+    def test_tied_maxima(self):
+        # a tied lane weighs 1 at any temperature: never certain, and the
+        # chain keeps the lower index where it peaks
+        rows = np.array([[3.0, 3.0, -50.0, -60.0], [-50.0, 3.0, -60.0, 3.0],
+                         [1.0, 1.0, 1.0, 1.0]])
+        for p in (0.9, 0.3, 1e-3):
+            assert not certain(rows, 0.05, p).any()
+            assert_chain(rows, 0.05, p)
+            assert_chain(rows, 0.05, p, top_k=1)
+
+    def test_a_lane_just_below_the_max_at_small_p(self):
+        # rescaled by 3, the two logits round to one value and the chain's
+        # one-hot lands on index 0, not on the max at index 1. The cap at 1
+        # keeps such a row off the certain path; a bound of
+        # (V - 1)(S - 1 + V 2^-52 S)^(1/T) <= (1/p - 1)/2 alone would admit
+        # it
+        low = 3.694644520472026
+        row = np.array([[low, np.nextafter(low, 4.0)]])
+        assert row[0, 0] / 3.0 == row[0, 1] / 3.0
+        s = float(dist._shifted_exp(row)[1][0, 0])
+        assert (s - 1 + 2 * 2.0 ** -52 * s) ** (1 / 3) <= (1 / 0.3 - 1) / 2
+        assert not certain(row, 3.0, 0.3).any()
+        probs = assert_chain(row, 3.0, 0.3)
+        assert probs.tolist() == [[1.0, 0.0]]
+
+    def test_flat_rest_above_temperature_one(self):
+        # at T > 1, mass spread over many lanes weighs more than its sum
+        # raised to 1/T: the power mean's factor (V - 1)^(1 - 1/T)
+        rows = np.zeros((40, 64))
+        rows[:, 1:] = np.log(np.logspace(-12, -1, 40) / 63)[:, None]
+        for T in (1.5, 2.5, 4.0):
+            sure = certain(rows, T, 0.9)
+            assert 0 < sure.sum() < len(rows)
+            assert_chain(rows, T, 0.9)
+
+    def test_huge_logits(self):
+        # divided by 2/3, 2^53 times apart, the two logits round to one
+        # value: the chain keeps both. The rest mass alone would call the
+        # row certain; |max| <= 2^40 t keeps it off that path
+        row = np.array([[1.5336319967521104e16, 1.5336319967521102e16]])
+        probs = assert_chain(row, 2 / 3, 0.9)
+        assert probs.tolist() == [[0.5, 0.5]]
+        assert not certain(row, 2 / 3, 0.9).any()
+        assert certain(row - row[0, 0], 2 / 3, 0.9).all()
+
+    def test_shapes(self):
+        rows = edge_rows(16, 0.3, 0.9, [0.5, 2.0], hot=5)
+        assert_chain(rows[:1], 0.3, 0.9)  # a [1, V] stack
+        assert_chain(rows[1:], 0.3, 0.9)
+        for row in rows:  # 1-D rows
+            probs = assert_chain(row, 0.3, 0.9)
+            assert probs.tolist() == [0.0] * 5 + [1.0] + [0.0] * 10
+        one = np.array([[3.0], [-2.0]])  # V = 1
+        assert certain(one, 0.3, 0.9).all()
+        assert assert_chain(one, 0.3, 0.9).tolist() == [[1.0], [1.0]]
+        assert assert_chain(np.array([7.0]), 0.3, 0.9).tolist() == [1.0]
+
+    def test_oracle_rows(self):
+        # guided oracle rows at scale decoding's floor and above it
+        prof = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        o = Oracle(OracleConfig(vocab=64, shape=(8, 8), profile=prof, seed=2,
+                                context_sensitivity=0.5))
+        cond = o.logits_rows(range(64), 7)
+        uncond = o.logits_rows(range(64), 7, conditional=False)
+        tp = preset("llamagen")
+        for adjust in (scaled(1e-3), scaled(0.2), None):
+            want = composed(cond, uncond, 1.5, tp, None, 0.9, adjust)
+            got = pipeline_probs(cond, uncond, 1.5, tp, None, 0.9, adjust)
+            assert np.array_equal(got[0].view(np.int64),
+                                  want[0].view(np.int64))
+
+    def test_certain_rows_skip_the_chain(self, monkeypatch):
+        rows = []
+        chain = dist._top_p_softmax
+
+        def counted(a, p):
+            rows.append(len(a))
+            return chain(a, p)
+
+        monkeypatch.setattr(dist, "_top_p_softmax", counted)
+        mixed = edge_rows(64, 0.3, 0.9, self.FACTORS * 3)
+        sure = certain(mixed, 0.3, 0.9)
+        assert 0 < sure.sum() < len(mixed)
+        pipeline_probs(mixed, top_p=0.9, adjust_temperature=fixed(0.3))
+        assert rows == [np.count_nonzero(~sure)]
+
+        def raiser(a, p):
+            raise AssertionError("a certain row reached the second softmax")
+
+        monkeypatch.setattr(dist, "_top_p_softmax", raiser)
+        peaked = edge_rows(64, 0.3, 0.9, [1e-3, 0.5, 1 - 1e-9])
+        pipeline_probs(peaked, top_p=0.9, adjust_temperature=fixed(0.3))
+        pipeline_probs(peaked[0], top_p=0.9, adjust_temperature=fixed(0.3))
