@@ -236,10 +236,6 @@ def build_run(cfg: RunConfig) -> RunParts:
         raise ConfigValueError(str(exc)) from None
 
 
-# the gate's earlier name, which the tests still import
-validate_config = build_run
-
-
 def default_ladder(height: int, width: int):
     """Scales 1x1, 2x2, 4x4, ..., each clipped to the grid, up to the grid."""
     shapes = []

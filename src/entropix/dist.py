@@ -11,46 +11,45 @@ decoder may score a whole batch of positions in one call.
 Each checked function is its checks plus one call of a private core that
 trusts its caller: ``softmax`` runs ``_softmax``, ``cfg_combine``
 ``_cfg_combine``, ``rescale_logits`` ``_rescale_logits``, ``top_k_filter``
-``_top_k_filter``, ``top_p_softmax`` ``_top_p_softmax``,
-``sample_categorical`` ``inverse_cdf`` and ``sample_rows`` ``_sample_rows``.
-Each check is stated once (``as_logits``, ``_rows_valid`` and the
-``_check_*`` helpers). ``temperature.pipeline_probs`` makes every check of
-its inputs once, up front, and then runs only the cores; the decoders draw
-through the draw cores from rows they built themselves, which are valid by
-construction (tests/test_temperature.py pins that).
+``_top_k_filter``, ``top_p_filter`` ``_top_p_filter``, ``top_p_softmax``
+``_top_p_softmax``, ``sample_categorical`` ``inverse_cdf`` and
+``sample_rows`` ``_sample_rows``. Each check is stated once (``as_logits``,
+``_rows_valid`` and the ``_check_*`` helpers). ``temperature.pipeline_probs``
+makes every check of its inputs once, up front, and then runs only the
+cores; the decoders draw through the draw cores from rows they built
+themselves, which are valid by construction (tests/test_temperature.py
+pins that).
 
 The top-k and top-p filters select by threshold. Each row's cut value is
 read from its sorted values: the k-th highest logit, or the probability
 that brings the descending cumulative mass to p. The row keeps the entries
 at or above the cut. Where more entries tie at the cut than places are
 left, the lower indices win, exactly as in a stable ranking; only such rows
-do extra work. The same holds for sorting under top-p: a row whose largest
-probability reaches p keeps that entry alone, and that probability is
-1 / (sum of exp(a - row max)), bit for bit, since the row max's
-exponential is exp(0) = 1. ``top_p_softmax`` writes such a row one-hot
-without sorting it (``_top_p_softmax`` says why that is exact); at a low
-temperature most rows are such. ``pipeline_probs`` decides most of them
-before the rescale, from the first softmax's row sum S at the unscaled
-logits: the other lanes weigh at most R = S (1 + V 2^-48) - 1 there, and
-at temperature t at most R^(1/t) (V - 1)^max(0, 1 - 1/t). Where that, with
-a margin for the rescale's rounding (|row max| <= 2^40 t, a factor
-1 + 2^-9 and 2^-48 a lane), is at most min(1/p - 1, 1) / 2, the row is
-certain to be one-hot at its first largest logit and never reaches
-``_top_p_softmax`` (its docstring gives the argument).
+do extra work. ``top_p_softmax`` is softmax(top_p_filter(...)), with one
+shortcut: a row whose largest probability reaches p keeps that entry
+alone, and that probability is 1 / (sum of exp(a - row max)), bit for bit,
+since the row max's exponential is exp(0) = 1. Such a row is written
+one-hot without a sort or a second softmax (``_top_p_softmax`` says why
+that is exact); at a low temperature most rows are such.
+``pipeline_probs`` decides most of them before the rescale, from the first
+softmax's row sum, and both write such rows through ``_one_hot``.
 
-``np.exp`` has slow lanes, and a softmax at a low temperature lives in
-them. Where the result is subnormal (inputs from about -708 down to
--745.13) a lane costs 130-215 ns, against about 1.2 ns for a normal
-result; where it underflows to 0 it costs about 20 ns, and at -inf about
-7 ns (BENCH_12).
-At scale decoding's floor temperature most lanes of a row fall there. So
-the softmax of an [N, V] stack exponentiates lanes clamped at
-``_EXP_FAST_MIN`` (-700, still fast; -708 is not), writes 0 below
-``_EXP_ZERO_BELOW`` (-746, past the last input whose exp rounds above 0)
-and recomputes the few lanes between the two with ``np.exp`` alone, so
-every value is np.exp's own. A 1-D row keeps plain ``np.exp``: there the
-extra passes cost more than they save. ``top_p_softmax`` exponentiates
-once where top-p followed by softmax would exponentiate twice.
+``np.exp`` has slow lanes. Where the result is subnormal (inputs from
+about -708 down to -745.13) a lane costs 130-215 ns, against about 1.2 ns
+for a normal result; where it underflows to 0 it costs about 20 ns, and at
+-inf about 7 ns (BENCH_12). So the softmax of an [N, V] stack
+exponentiates lanes clamped at ``_EXP_FAST_MIN`` (-700, still fast; -708
+is not), writes 0 below ``_EXP_ZERO_BELOW`` (-746, past the last input
+whose exp rounds above 0) and recomputes the few lanes between the two
+with ``np.exp`` alone, so every value is np.exp's own. The lanes that pay
+for this today are top-k's ``EXCLUDED`` ones: under mask decoding with
+top-k 16 of 64 they are three quarters of the second softmax's lanes, and
+plain ``np.exp`` there makes a whole decode about 8% slower. A low
+temperature's subnormal lanes are the other case; scale decoding's
+floor-temperature rows mostly skip the second softmax, and no stack
+lane at perfbench's scale-ladder config (seed 0) is subnormal or
+underflows. A 1-D row keeps plain ``np.exp``: there the extra passes cost
+more than they save.
 """
 
 import math
@@ -279,20 +278,21 @@ def top_p_filter(logits, p: float) -> np.ndarray:
     _check_top_p(p)
     if p == 1.0:
         return a.copy()
-    return np.where(_top_p_keep(_softmax(a), p), a, EXCLUDED)
+    return _top_p_filter(a, _softmax(a), p)
+
+
+def _top_p_filter(a: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
+    """``top_p_filter`` of checked logits ``a`` whose softmax is ``q``, at
+    a checked p < 1."""
+    return np.where(_top_p_keep(q, p), a, EXCLUDED)
 
 
 def top_p_softmax(logits, p: float) -> np.ndarray:
-    """softmax(top_p_filter(logits, p)), bit for bit, with one
-    exponentiation instead of two.
+    """softmax(top_p_filter(logits, p)), bit for bit.
 
     A row whose largest probability reaches p keeps that entry alone, and
-    is one-hot; only the other rows are sorted. The filtered row's softmax
-    subtracts the highest kept logit. Where that is the row's maximum, its
-    exponentials are the kept entries of the exponentials top-p ranked by,
-    so those are summed and divided again. A row whose top probabilities
-    tie while their logits differ can lose its maximum to a lower-index
-    tie; only such a row is recomputed.
+    is written one-hot without a sort or a second softmax; the other rows
+    run the reference.
     """
     a = as_logits(logits)
     _check_top_p(p)
@@ -306,47 +306,37 @@ def _top_p_softmax(a: np.ndarray, p: float) -> np.ndarray:
     one is at most 1, so a row's largest probability is 1 / total, bit for
     bit, and it is the first term of the descending cumulative mass. The
     nucleus is that entry alone exactly when 1 / total >= p. Such a row is
-    written one-hot, in the exponentials' own buffer, at the first index of
-    its largest probability: the entry the sort path keeps, also where a
-    lower logit's probability rounds to a tie with it, and which that
-    path renormalizes to exactly 1 (x / x). Only the other rows are
-    sorted, with the exponentials already computed; a stack whose rows
-    all peak runs whole-stack operations alone.
+    written one-hot, in the probabilities' own buffer, at the first index
+    of its largest probability: the entry the reference keeps, also where
+    a lower logit's probability rounds to a tie with it, and which the
+    reference's softmax makes exactly 1 (x / x). Only the other rows are
+    filtered, by the probabilities already computed, and take a second
+    softmax; a stack whose rows all peak runs whole-stack operations alone.
     """
     if p == 1.0:
         return _softmax(a)
-    e, total, m = _shifted_exp(a)
+    q, total, _ = _shifted_exp(a)
+    q /= total  # the softmax, which top-p ranks by
     peaked = np.divide(1.0, total) >= p
     if not peaked.any():
-        return _nucleus_softmax(a, e, total, m, p)
+        return _softmax(_top_p_filter(a, q, p))
     rest = np.flatnonzero(~peaked)  # only a stack has rows left here
     if rest.size:
-        tail = _nucleus_softmax(a[rest], e[rest], total[rest], m[rest], p)
-    e /= total
-    top = np.argmax(e, axis=-1, keepdims=True)
-    e.fill(0.0)
-    np.put_along_axis(e, top, 1.0, axis=-1)
+        tail = _softmax(_top_p_filter(a[rest], q[rest], p))
+    _one_hot(q, q)
     if rest.size:
-        e[rest] = tail
-    return e
+        q[rest] = tail
+    return q
 
 
-def _nucleus_softmax(a, e, total, m, p) -> np.ndarray:
-    """``_top_p_softmax`` of rows whose exponentials e = exp(a - m), with
-    their sums ``total``, are given, in e's buffer: the top-p mask, then
-    the kept exponentials renormalized."""
-    keep = _top_p_keep(e / total, p)
-    e *= keep
-    rows = a.ndim > 1
-    e /= np.add.reduce(e, axis=-1, keepdims=rows)
-    held = np.logical_or.reduce(keep & (a == m), axis=-1)
-    if rows:
-        stale = np.flatnonzero(~held)
-        if stale.size:
-            e[stale] = _softmax(np.where(keep[stale], a[stale], EXCLUDED))
-    elif not held:
-        e = _softmax(np.where(keep, a, EXCLUDED))
-    return e
+def _one_hot(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, each row (a 1-D ``out`` is one) set one-hot at the first
+    index of the largest value of that row of ``x``, which may be ``out``
+    itself."""
+    top = np.argmax(x, axis=-1, keepdims=True)
+    out.fill(0.0)
+    np.put_along_axis(out, top, 1.0, axis=-1)
+    return out
 
 
 def _check_top_p(p: float) -> None:

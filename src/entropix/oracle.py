@@ -79,10 +79,6 @@ class Oracle:
         self._n = h * w
         self._kappa_flat = cfg.profile.reshape(-1)
 
-    def kappa_at(self, linear_pos: int) -> float:
-        # positions beyond the grid wrap onto the profile
-        return float(self._kappa_flat[linear_pos % self._n])
-
     def logits_at(self, linear_pos: int, prefix_tokens: Sequence[int],
                   prefix_indices: Optional[Sequence[int]] = None,
                   conditional: bool = True,

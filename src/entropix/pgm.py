@@ -33,7 +33,7 @@ def read_pgm(path) -> np.ndarray:
         for line in f:
             line = line.split("#", 1)[0]
             tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
+    if len(tokens) < 4 or tokens[0] != "P2":  # the header: P2 w h maxval
         raise ValueError("not an ASCII PGM file")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     data = np.array([int(t) for t in tokens[4:]])

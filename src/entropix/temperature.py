@@ -88,7 +88,7 @@ def pipeline_probs(cond_logits,
     result. A 1-D input is the one-row case and returns two scalars.
 
     The output equals softmax -> support_entropy -> dynamic_temperature ->
-    rescale_logits -> top_k_filter -> softmax (or top_p_softmax) of the
+    rescale_logits -> top_k_filter -> (top_p_filter ->) softmax of the
     public ``dist`` functions, bit for bit, and its rows are valid
     distributions, so a caller may draw from them with ``dist``'s draw
     cores. Each input is checked once, up front, and then only ``dist``'s
@@ -108,10 +108,11 @@ def pipeline_probs(cond_logits,
 
     Certain nuclei: under top-p with p < 1, a row whose nucleus the first
     softmax already decides is written one-hot at the first index of its
-    largest guided logit, with no rescale, exponentiation or sort; only the
-    other rows run the rescale, the filter and ``dist._top_p_softmax``. Let
-    S be the row's first softmax sum (its max's lane is exp(0) = 1), V its
-    length, m its max and t its applied temperature.
+    largest guided logit (``dist._one_hot``, which also writes top-p's
+    peaked rows), with no rescale, exponentiation or sort; the chain runs
+    once, on every row or on only the other rows. Let S be the row's first
+    softmax sum (its max's lane is exp(0) = 1), V its length, m its max and
+    t its applied temperature.
     - The other lanes' exponentials x = exp(l - m) sum to at most
       R = S (1 + V 2^-48) - 1. The margin covers, many times over, S's
       summation (at most V - 1 roundings), np.exp's error and the rounding
@@ -152,16 +153,23 @@ def pipeline_probs(cond_logits,
     dist._check_temperature(t)
     sure = None if top_p is None else _certain(total, m, t,
                                                logits.shape[-1], top_p)
+    rest = None  # the rows left to the chain, where some rows are certain
+    chain_t = t
     if sure is not None and sure.any():
-        probs = _with_certain_rows(logits, e, sure, t, top_k, top_p)
-    else:
-        logits = dist._rescale_logits(logits, t)
+        probs = dist._one_hot(logits, e)
+        rest = np.flatnonzero(~sure)  # a 1-D row leaves none
+        logits = logits[rest]
+        chain_t = t[rest] if np.ndim(t) else t
+    if rest is None or rest.size:
+        logits = dist._rescale_logits(logits, chain_t)
         if top_k is not None:
             logits = dist._top_k_filter(logits, top_k)
         if top_p is None:
             probs = dist._softmax(logits, dist._rescale_logits(m, t))
-        else:  # the same as softmax(top_p_filter(...)), one exponentiation
+        elif rest is None:
             probs = dist._top_p_softmax(logits, top_p)
+        else:
+            probs[rest] = dist._top_p_softmax(logits, top_p)
     if probs.ndim == 1:
         return probs, float(eps), t
     return probs, eps, t
@@ -188,23 +196,6 @@ def _certain(total, m, t, v: int, p: float):
     if v > 2:  # the power mean's factor, for t > 1
         x = x + np.maximum(0.0, (1.0 - 1.0 / t) * math.log(v - 1))
     return (x <= math.log(cap)) & (np.abs(m) <= _SURE_SCALE * t)
-
-
-def _with_certain_rows(logits, e, sure, t, top_k, p):
-    """The probabilities of rows some of which are certain (``sure``):
-    those are written one-hot in e's buffer at the first index of their
-    largest guided logit, and only the others run the chain."""
-    e.fill(0.0)
-    np.put_along_axis(e, np.argmax(logits, axis=-1, keepdims=True), 1.0,
-                      axis=-1)
-    if not sure.all():  # only a stack has rows left here
-        rest = np.flatnonzero(~sure)
-        logits = dist._rescale_logits(logits[rest],
-                                      t[rest] if np.ndim(t) else t)
-        if top_k is not None:
-            logits = dist._top_k_filter(logits, top_k)
-        e[rest] = dist._top_p_softmax(logits, p)
-    return e
 
 
 def sample_entropy_aware(cond_logits,

@@ -15,7 +15,7 @@ from entropix.cli import SWEEP_PARAMS, main, run
 from entropix.config import (_FLOAT_KEYS, MAX_CELLS, MAX_LENGTH,
                              MAX_QUERY_LOGITS, MAX_VOCAB, MAX_WINDOW, MODES,
                              ConfigSyntaxError, ConfigValueError, RunConfig,
-                             parse_config, validate_config)
+                             build_run, parse_config)
 from entropix.oracle import Oracle
 
 
@@ -135,7 +135,7 @@ class TestConfigParsing:
             parse_config(path)
 
 
-# Each config breaks one size limit by one unit; only validate_config sees
+# Each config breaks one size limit by one unit; only build_run sees
 # them, so nothing of their size is ever allocated.
 OVERSIZED = [
     ("vocab", dict(vocab=MAX_VOCAB + 1, height=1, width=1,
@@ -241,15 +241,15 @@ class TestSizeLimits:
         assert largest > 0
         assert span <= largest + _BLOCK_ELEMS
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest)
-        validate_config(cfg)
+        build_run(cfg)
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest - 1)
         with pytest.raises(ConfigValueError, match="query"):
-            validate_config(cfg)
+            build_run(cfg)
 
     @pytest.mark.parametrize("match,keys", OVERSIZED)
     def test_oversized_rejected(self, match, keys):
         with pytest.raises(ConfigValueError, match=match):
-            validate_config(RunConfig(**keys))
+            build_run(RunConfig(**keys))
 
     @pytest.mark.parametrize("match,keys",
                              OVERSIZED + [("length", dict(length=0))])
@@ -268,7 +268,7 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("keys", AT_LIMIT)
     def test_limit_admitted(self, keys):
-        validate_config(RunConfig(**keys))
+        build_run(RunConfig(**keys))
 
     @pytest.mark.parametrize("line", ["vocab = 1000000000",
                                       f"window = {MAX_WINDOW + 1}",

@@ -47,6 +47,15 @@ def test_reader_rejects_bad_files(tmp_path):
         pgm.read_pgm(short)
 
 
+@pytest.mark.parametrize("text", ["P2\n", "P2\n4\n", "P2\n4 2\n",
+                                  "P2\n# a comment\n4 2\n"])
+def test_reader_refuses_a_truncated_header(tmp_path, text):
+    path = tmp_path / "head.pgm"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="not an ASCII PGM file"):
+        pgm.read_pgm(path)
+
+
 def test_reader_accepts_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_text("P2\n# a comment\n2 1\n255\n3 4\n")

@@ -22,6 +22,9 @@ OFF_PATH = [
     (dist, "sample_categorical"),
     (dist, "sample_rows"),
     (dist, "validate_probs"),
+    (dist, "softmax"),  # public reference, kept
+    (dist, "top_p_filter"),  # public reference, kept
+    (dist, "top_p_softmax"),  # public reference, kept
     (speculative, "baseline_accept"),
     (speculative, "entropy_accept"),
     (speculative, "entropy_threshold"),

@@ -78,7 +78,8 @@ class TestScaleGenerate:
         for i in range(4):
             for j in range(4):
                 pos = 1 * SCALE_STRIDE + i * 4 + j
-                logits = o.logits_at(pos, [], [], kappa=o.kappa_at(i * 4 + j))
+                kappa = o.cfg.profile.reshape(-1)[i * 4 + j]
+                logits = o.logits_at(pos, [], [], kappa=kappa)
                 probs, eps, t = pipeline_probs(logits, tp=preset("llamagen"))
                 expected[i, j] = dist.sample_categorical(probs, rng)
                 assert emaps[0][i, j] == eps
@@ -123,9 +124,9 @@ class TestScaleGenerate:
         # rerun scale 2 with a modified scale-1 token: logits must differ
         pos = 2 * SCALE_STRIDE
         a = o.logits_at(pos, [int(g1[0][0, 0])], [1 * SCALE_STRIDE],
-                        kappa=o.kappa_at(0))
+                        kappa=o.cfg.profile.reshape(-1)[0])
         b = o.logits_at(pos, [(int(g1[0][0, 0]) + 1) % 16], [1 * SCALE_STRIDE],
-                        kappa=o.kappa_at(0))
+                        kappa=o.cfg.profile.reshape(-1)[0])
         assert not np.array_equal(a, b)
 
     def test_scales_condition_on_coarser_scales(self, monkeypatch):

@@ -12,6 +12,7 @@ from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_temperature
 from entropix.temperature import (PRESETS, TempParams, dynamic_temperature,
                                   pipeline_probs, preset, sample_entropy_aware)
+from test_dist import LOST_MAX_ROW, peaked_rows
 
 
 # Entropy gap (nats) beyond which T(eps) must strictly decrease in float64.
@@ -214,8 +215,8 @@ class TestPipelineRows:
             assert eps[n] == e1 and t[n] == t1
 
     def test_top_p_at_the_floor_temperature(self):
-        # the pipeline's one-exponentiation top-p against the two steps, at
-        # a temperature that leaves most lanes underflowing or subnormal
+        # the pipeline's top-p against the two public steps, at a
+        # temperature that leaves most lanes underflowing or subnormal
         logits = np.random.default_rng(7).normal(scale=20.0, size=(40, 24))
         probs, _, t = pipeline_probs(logits, top_p=0.9,
                                      adjust_temperature=scaled(1e-3))
@@ -494,6 +495,24 @@ class TestCertainNuclei:
             got = pipeline_probs(cond, uncond, 1.5, tp, None, 0.9, adjust)
             assert np.array_equal(got[0].view(np.int64),
                                   want[0].view(np.int64))
+
+    @pytest.mark.parametrize("top_k", [None, 3])
+    def test_row_that_loses_its_maximum_among_shortcuts(self, top_k):
+        # one stack of a certain row, a peaked row and LOST_MAX_ROW, whose
+        # top probabilities tie while their logits differ: top-p at 0.5
+        # (after top-k 3 too) drops its maximum at index 5, and the row
+        # takes the reference's second softmax
+        rows = np.array([[0.0, -60.0, -70.0, -80.0, -90.0, -100.0],
+                         [0.0, -1.0, -2.0, -3.0, -4.0, -5.0],
+                         LOST_MAX_ROW])
+        assert certain(rows, 1.0, 0.5).tolist() == [True, False, False]
+        assert peaked_rows(rows, 0.5).tolist() == [True, True, False]
+        probs = assert_chain(rows, 1.0, 0.5, top_k)
+        logits = rows if top_k is None else dist.top_k_filter(rows, top_k)
+        filtered = dist.top_p_filter(logits, 0.5)
+        assert not np.isfinite(filtered[2, 5])
+        want = dist.softmax(filtered)
+        assert np.array_equal(probs.view(np.int64), want.view(np.int64))
 
     def test_certain_rows_skip_the_chain(self, monkeypatch):
         rows = []
