@@ -1,12 +1,13 @@
-"""Record the numpy lane costs behind two constants of the package.
+"""Record the numpy lane costs behind two choices of the package.
 
     PYTHONPATH=src python3 benchmarks/bench_numpy_lanes.py --out BENCH_12.json
 
-``dist._EXP_FAST_MIN`` and ``dist._EXP_ZERO_BELOW`` bound the lanes that
-the batched softmax hands to ``np.exp``, and ``_kernels_py._SPLIT_MIN_ELEMS``
-is the smallest hash block that converts uint64 to float64 from its two
-halves instead of by numpy's cast. This script measures, on the machine it
-runs on:
+``np.exp`` is several times slower at -inf than on a normal input, which is
+why top-k hands the second softmax a keep mask instead of ``EXCLUDED``
+lanes (``dist._shifted_exp``), and ``_kernels_py._SPLIT_MIN_ELEMS`` is the
+smallest hash block that converts uint64 to float64 from its two halves
+instead of by numpy's cast. This script measures, on the machine it runs
+on:
 
 - ``exp``: the cost per lane of ``np.exp`` over 2^20 equal inputs, for
   inputs from the normal range down through the subnormal results to exact
@@ -35,7 +36,6 @@ import timeit
 import numpy as np
 
 from entropix import _kernels_py as k
-from entropix import dist
 
 EXP_LANES = 1 << 20
 EXP_INPUTS = (-1.0, -300.0, -690.0, -700.0, -704.0, -706.0, -707.0, -708.0,
@@ -122,9 +122,7 @@ def main(argv=None) -> int:
                     "numpy": np.__version__,
                     "simd": sorted(f for f in ("AVX2", "AVX512F", "AVX512_SKX")
                                    if features.get(f))},
-        "constants": {"dist._EXP_FAST_MIN": dist._EXP_FAST_MIN,
-                      "dist._EXP_ZERO_BELOW": dist._EXP_ZERO_BELOW,
-                      "_kernels_py._SPLIT_MIN_ELEMS": k._SPLIT_MIN_ELEMS},
+        "constants": {"_kernels_py._SPLIT_MIN_ELEMS": k._SPLIT_MIN_ELEMS},
         "exp": exp_costs(),
         "cast": cast_costs(),
         "crossover": crossover(),

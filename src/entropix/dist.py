@@ -34,22 +34,11 @@ that is exact); at a low temperature most rows are such.
 ``pipeline_probs`` decides most of them before the rescale, from the first
 softmax's row sum, and both write such rows through ``_one_hot``.
 
-``np.exp`` has slow lanes. Where the result is subnormal (inputs from
-about -708 down to -745.13) a lane costs 130-215 ns, against about 1.2 ns
-for a normal result; where it underflows to 0 it costs about 20 ns, and at
--inf about 7 ns (BENCH_12). So the softmax of an [N, V] stack
-exponentiates lanes clamped at ``_EXP_FAST_MIN`` (-700, still fast; -708
-is not), writes 0 below ``_EXP_ZERO_BELOW`` (-746, past the last input
-whose exp rounds above 0) and recomputes the few lanes between the two
-with ``np.exp`` alone, so every value is np.exp's own. The lanes that pay
-for this today are top-k's ``EXCLUDED`` ones: under mask decoding with
-top-k 16 of 64 they are three quarters of the second softmax's lanes, and
-plain ``np.exp`` there makes a whole decode about 8% slower. A low
-temperature's subnormal lanes are the other case; scale decoding's
-floor-temperature rows mostly skip the second softmax, and no stack
-lane at perfbench's scale-ladder config (seed 0) is subnormal or
-underflows. A 1-D row keeps plain ``np.exp``: there the extra passes cost
-more than they save.
+``np.exp`` costs about 7 ns a lane at -inf, against 1.2 ns for a normal
+result (BENCH_12). So where top-k is the last filter, ``pipeline_probs``
+writes no ``EXCLUDED`` lane: ``_softmax`` multiplies the exponentials by
+top-k's keep mask (``_top_k_keep``), which gives a dropped lane +0.0, as
+exp(-inf) would, and leaves every row sum the same.
 """
 
 import math
@@ -64,11 +53,6 @@ PROB_SUM_TOL = 1e-9
 
 GUMBEL_CLIP = 1e-12
 
-# np.exp's fast lanes end near -708 (see the module docstring); bounds
-# measured by benchmarks/bench_numpy_lanes.py (BENCH_12.json, "numpy_lanes")
-_EXP_FAST_MIN = -700.0  # every input from here up stays on the fast path
-_EXP_ZERO_BELOW = -746.0  # exp is exactly 0 below this (2^-1075 at -745.13)
-
 
 def as_logits(values) -> np.ndarray:
     """``values`` as float64 logits: a 1-D vector or an [N, V] stack, V >= 1.
@@ -80,36 +64,15 @@ def as_logits(values) -> np.ndarray:
     return a
 
 
-def _exp_stack(x: np.ndarray) -> None:
-    """np.exp of every value of x, in place, bit for bit, with every lane on
-    np.exp's fast path.
-
-    Lanes below ``_EXP_FAST_MIN`` run from the floor, and are then set: to
-    0 below ``_EXP_ZERO_BELOW``, where exp is exactly 0, and to np.exp of
-    their own value between the two bounds, a band that is computed alone.
-    NaN and -inf lanes fall through the comparisons and the clamp as
-    np.exp would take them (-inf counts as low and becomes 0).
-    """
-    low = x < _EXP_FAST_MIN
-    if not low.any():
-        np.exp(x, out=x)
-        return
-    band = np.flatnonzero(low & (x >= _EXP_ZERO_BELOW))
-    flat = x.reshape(-1)
-    exact = np.exp(flat[band])
-    np.maximum(x, _EXP_FAST_MIN, out=x)  # NaN stays NaN
-    np.exp(x, out=x)
-    x *= np.logical_not(low, out=low)  # a multiply by 0 or 1, not a scatter
-    flat[band] = exact
-
-
-def _shifted_exp(a: np.ndarray, m=None):
+def _shifted_exp(a: np.ndarray, m=None, keep=None):
     """(exp(a - row max), its sum along the last axis, the row max):
-    softmax before the division. A 1-D row runs np.exp as it is; a stack
-    runs ``_exp_stack``. ``m``, if given, is the row max, in the shape this
-    function would compute it: a scalar for a 1-D row, [N, 1] for a stack.
-    A row max that is not finite (no finite entry, NaN, or overflow) is
-    refused as an empty support."""
+    softmax before the division. ``m``, if given, is the row max, in the
+    shape this function would compute it: a scalar for a 1-D row, [N, 1]
+    for a stack. ``keep``, if given, is a mask of a's shape that the
+    exponentials are multiplied by before the sum: a dropped lane's finite
+    exponential becomes +0.0, as exp(EXCLUDED) would be, without np.exp's
+    slow -inf lanes. A row max that is not finite (no finite entry, NaN, or
+    overflow) is refused as an empty support."""
     # a 1-D input reduces to numpy scalars, which cost less per operation
     # than one-element arrays; a stack keeps the axis to broadcast per row.
     # The ufunc reductions are what max() and sum() run, minus a wrapper.
@@ -122,10 +85,9 @@ def _shifted_exp(a: np.ndarray, m=None):
     # in place on one fresh array: a large stack then pays for a single
     # allocation rather than three
     e = np.subtract(a, m)
-    if rows:
-        _exp_stack(e)
-    else:
-        np.exp(e, out=e)  # EXCLUDED -> exp(-inf) = 0
+    np.exp(e, out=e)  # EXCLUDED -> exp(-inf) = 0
+    if keep is not None:
+        e *= keep
     return e, np.add.reduce(e, axis=-1, keepdims=rows), m
 
 
@@ -134,9 +96,10 @@ def softmax(logits) -> np.ndarray:
     return _softmax(as_logits(logits))
 
 
-def _softmax(a: np.ndarray, m=None) -> np.ndarray:
-    """``softmax`` of checked logits; ``m`` as in ``_shifted_exp``."""
-    e, total, _ = _shifted_exp(a, m)
+def _softmax(a: np.ndarray, m=None, keep=None) -> np.ndarray:
+    """``softmax`` of checked logits; ``m`` and ``keep`` as in
+    ``_shifted_exp``."""
+    e, total, _ = _shifted_exp(a, m, keep)
     e /= total
     return e
 
@@ -261,9 +224,16 @@ def _check_top_k(k: int) -> None:
 def _top_k_filter(a: np.ndarray, k: int) -> np.ndarray:
     """``top_k_filter`` of checked logits. The filtered row keeps its
     maximum, since the cut is at or below it."""
+    keep = _top_k_keep(a, k)
+    return a.copy() if keep is None else np.where(keep, a, EXCLUDED)
+
+
+def _top_k_keep(a: np.ndarray, k: int):
+    """The mask of the entries that top-k keeps of checked logits, or None
+    where k >= V keeps them all."""
     if k >= a.shape[-1]:
-        return a.copy()
-    return np.where(_keep_highest(a, np.sort(a, axis=-1), k), a, EXCLUDED)
+        return None
+    return _keep_highest(a, np.sort(a, axis=-1), k)
 
 
 def top_p_filter(logits, p: float) -> np.ndarray:

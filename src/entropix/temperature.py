@@ -104,7 +104,10 @@ def pipeline_probs(cond_logits,
     for bit: t > 0 and division rounds monotonically, so m / t is the
     largest rescaled logit, and top-k keeps each row's maximum. Where m / t
     overflows the softmax refuses it as an empty support, as it would the
-    row's own max. Top-p finds its own max (``dist.top_p_softmax``).
+    row's own max. It also takes top-k's keep mask instead of EXCLUDED
+    lanes (``dist._shifted_exp``). Top-p, which can drop the row's maximum,
+    runs on the filtered logits and finds its own max
+    (``dist.top_p_softmax``).
 
     Certain nuclei: under top-p with p < 1, a row whose nucleus the first
     softmax already decides is written one-hot at the first index of its
@@ -162,14 +165,16 @@ def pipeline_probs(cond_logits,
         chain_t = t[rest] if np.ndim(t) else t
     if rest is None or rest.size:
         logits = dist._rescale_logits(logits, chain_t)
-        if top_k is not None:
-            logits = dist._top_k_filter(logits, top_k)
         if top_p is None:
-            probs = dist._softmax(logits, dist._rescale_logits(m, t))
-        elif rest is None:
-            probs = dist._top_p_softmax(logits, top_p)
+            keep = None if top_k is None else dist._top_k_keep(logits, top_k)
+            probs = dist._softmax(logits, dist._rescale_logits(m, t), keep)
         else:
-            probs[rest] = dist._top_p_softmax(logits, top_p)
+            if top_k is not None:
+                logits = dist._top_k_filter(logits, top_k)
+            if rest is None:
+                probs = dist._top_p_softmax(logits, top_p)
+            else:
+                probs[rest] = dist._top_p_softmax(logits, top_p)
     if probs.ndim == 1:
         return probs, float(eps), t
     return probs, eps, t

@@ -377,6 +377,10 @@ def artifact(tmp_path, name):
     return os.path.join(tmp_path / "out", name)
 
 
+def artifact_lines(tmp_path, name):
+    return Path(artifact(tmp_path, name)).read_text().splitlines()
+
+
 class TestGenerate:
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["generate", base_config(tmp_path)]) == 0
@@ -417,20 +421,20 @@ class TestGenerate:
     def test_all_modes_run(self, tmp_path, mode):
         extra = "steps = 8\n" if mode == "mask" else ""
         assert main(["generate", base_config(tmp_path, mode, extra)]) == 0
-        report = open(artifact(tmp_path, "report.csv")).read().splitlines()
+        report = artifact_lines(tmp_path, "report.csv")
         assert report[0].startswith("mode,seed,")
         assert report[1].startswith(mode + ",")
 
     def test_scale_mode_extra_artifact(self, tmp_path):
         main(["generate", base_config(tmp_path, "scale")])
-        rows = open(artifact(tmp_path, "scales.csv")).read().splitlines()
+        rows = artifact_lines(tmp_path, "scales.csv")
         assert rows[0] == "scale,mean_entropy"
         assert len(rows) == 1 + 4  # ladder 1x1, 2x2, 4x4, 8x8
 
     def test_report_accounting_spec_mode(self, tmp_path):
         main(["generate", base_config(tmp_path, "spec-baseline",
                                       "length = 64\nwindow = 8\n")])
-        header, row = open(artifact(tmp_path, "report.csv")).read().splitlines()
+        header, row = artifact_lines(tmp_path, "report.csv")
         rec = dict(zip(header.split(","), row.split(",")))
         assert int(rec["tokens_emitted"]) == 64
         assert int(rec["model_invocations"]) >= 64 // 8
@@ -481,7 +485,7 @@ class TestSweep:
         cfg = base_config(tmp_path)
         assert main(["sweep", cfg, "alpha", "1,2,3,4,5"]) == 0
         capsys.readouterr()
-        rows = open(artifact(tmp_path, "sweep.csv")).read().splitlines()
+        rows = artifact_lines(tmp_path, "sweep.csv")
         assert len(rows) == 6
         temps = [float(r.split(",")[4]) for r in rows[1:]]
         assert all(a <= b for a, b in zip(temps, temps[1:]))
@@ -491,7 +495,7 @@ class TestSweep:
                           "length = 128\nwindow = 8\n")
         assert main(["sweep", cfg, "e", "4,8,16"]) == 0
         capsys.readouterr()
-        rows = open(artifact(tmp_path, "sweep.csv")).read().splitlines()
+        rows = artifact_lines(tmp_path, "sweep.csv")
         rates = [float(r.split(",")[6]) for r in rows[1:]]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
@@ -536,7 +540,7 @@ class TestSweep:
     def test_integer_parameter_accepts_integral_float(self, tmp_path, capsys):
         assert main(["sweep", base_config(tmp_path), "K", "8.0,3"]) == 0
         capsys.readouterr()
-        rows = open(artifact(tmp_path, "sweep.csv")).read().splitlines()
+        rows = artifact_lines(tmp_path, "sweep.csv")
         assert [r.split(",")[1] for r in rows[1:]] == ["8", "3"]
 
 

@@ -12,7 +12,7 @@ from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_temperature
 from entropix.temperature import (PRESETS, TempParams, dynamic_temperature,
                                   pipeline_probs, preset, sample_entropy_aware)
-from test_dist import LOST_MAX_ROW, peaked_rows
+from test_dist import EXP_BANDS, LOST_MAX_ROW, peaked_rows, shifted_stacks
 
 
 # Entropy gap (nats) beyond which T(eps) must strictly decrease in float64.
@@ -536,3 +536,64 @@ class TestCertainNuclei:
         peaked = edge_rows(64, 0.3, 0.9, [1e-3, 0.5, 1 - 1e-9])
         pipeline_probs(peaked, top_p=0.9, adjust_temperature=fixed(0.3))
         pipeline_probs(peaked[0], top_p=0.9, adjust_temperature=fixed(0.3))
+
+
+# BAND_ROW's values, divided by the temperature 1/2, shift from its max 0
+# to KEPT_SHIFTS, which top-k 3 keeps (exp(-720) is subnormal), and to
+# dropped values in every band of np.exp: subnormal, underflowing, below
+# -746, and -inf, to which the last value, -1e308, overflows
+KEPT_SHIFTS = [0.0, -1.0, -720.0]
+DROPPED_SHIFTS = [x for x in EXP_BANDS if -np.inf < x < -720.0]
+BAND_ROW = np.append(0.5 * np.array(KEPT_SHIFTS + DROPPED_SHIFTS), -1e308)
+
+
+def bands(x):
+    """The np.exp bands that the shifted values x fall in."""
+    e = np.exp(x)
+    return {"subnormal": bool(((0 < e) & (e < np.finfo(float).tiny)).any()),
+            "underflow": bool(((e == 0) & (x >= -746.0)).any()),
+            "below -746": bool((np.isfinite(x) & (x < -746.0)).any()),
+            "-inf": bool(np.isneginf(x).any())}
+
+
+class TestTopKKeepMask:
+    """Without top-p, top-k's dropped lanes are multiplied out after np.exp
+    instead of being exponentiated from EXCLUDED; every result is still the
+    public chain, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_dropped_lanes_in_every_band(self):
+        k = len(KEPT_SHIFTS)
+        shifted = BAND_ROW / 0.5
+        assert all(bands(shifted[k:]).values())
+        assert bands(shifted[:k])["subnormal"]
+        assert np.isneginf(shifted[-1]) and np.isfinite(BAND_ROW).all()
+        rng = np.random.default_rng(3)
+        stack = np.stack([BAND_ROW, BAND_ROW[::-1], rng.permutation(BAND_ROW),
+                          BAND_ROW + 2.0 ** -30])
+        probs = assert_chain(stack, 0.5, None, top_k=k)
+        assert (np.count_nonzero(probs, axis=1) == k).all()
+        for top_k in (1, k + 1, len(BAND_ROW)):
+            assert_chain(stack, 0.5, None, top_k)
+
+    @given(shifted_stacks(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shifted_stacks(self, a, data):
+        k = data.draw(st.integers(1, a.shape[-1]))
+        assert_chain(a, 1.0, None, k)
+
+    def test_no_excluded_lane_is_exponentiated(self, monkeypatch):
+        def raiser(a, k):
+            raise AssertionError("top-k wrote EXCLUDED lanes")
+
+        softmax = dist._softmax
+
+        def finite(a, m=None, keep=None):
+            assert np.isfinite(a).all() and keep is not None
+            return softmax(a, m, keep)
+
+        monkeypatch.setattr(dist, "_top_k_filter", raiser)
+        monkeypatch.setattr(dist, "_softmax", finite)
+        stack = np.stack([BAND_ROW[:-1], BAND_ROW[-2::-1]])
+        for logits in (stack, stack[0]):
+            pipeline_probs(logits, top_k=3, adjust_temperature=fixed(0.5))
