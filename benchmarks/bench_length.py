@@ -20,6 +20,8 @@ V = 64, kappa 0.9 outside and 0.1 inside the rectangle 16,16,32,32, the
 llamagen preset, seed 0, and ``WARMUP`` tokens first.
 
 - ``next-token``: seq-context itself, context 0.5, guidance 1.5, top-k 16;
+- ``next-token flat``: the same options at kappa 0.1 everywhere, content
+  of high entropy throughout, where verified windows rarely open;
 - ``spec-entropy c=0.5`` and ``spec-baseline c=1.0``: Jacobi decoding with
   a 16-slot window at context 0.5 and 1.0.
 
@@ -63,6 +65,8 @@ GRID = dict(vocab=64, height=64, width=64, kappa_bg=0.9, kappa_fg=0.1,
 SETTINGS = {
     "next-token": dict(mode="next-token", context_sensitivity=0.5,
                        cfg_scale=1.5, top_k=16),
+    "next-token flat": dict(mode="next-token", context_sensitivity=0.5,
+                            cfg_scale=1.5, top_k=16, kappa_bg=0.1),
     "spec-entropy c=0.5": dict(mode="spec-entropy", context_sensitivity=0.5,
                                window=16),
     "spec-baseline c=1.0": dict(mode="spec-baseline",
@@ -90,7 +94,8 @@ def measure(setting: str, size: int) -> dict:
     from entropix.cli import run
     from entropix.config import RunConfig
     if setting in SETTINGS:
-        cfgs = [RunConfig(length=n, **GRID, **SETTINGS[setting])
+        # a setting's keys override the grid's
+        cfgs = [RunConfig(length=n, **{**GRID, **SETTINGS[setting]})
                 for n in (WARMUP, size)]
     else:
         cfgs = [RunConfig(**square(n), **GRID_SETTINGS[setting])

@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Tuple, get_args
 
+from entropix._kernels_py import _BLOCK_ELEMS
 from entropix.dist import _check_top_k, _check_top_p
 from entropix.mask import StepSchedule, cosine_schedule
 from entropix.oracle import Oracle, OracleConfig, profile_rect
@@ -270,9 +271,12 @@ def _check_sizes(cfg: RunConfig):
                 f"ladder entry {h}x{w} has more than {MAX_CELLS} cells")
     # rows of the largest batched oracle query the run makes
     if cfg.mode == "next-token":
-        # blocks of up to a grid at context 0, else a row per query kind
+        # blocks of up to a grid at context 0; under context, verified
+        # windows of up to a span of positions (decode.next_token_generate)
+        # per query kind, and one-row steps that query both kinds at once
         rows = min(cells, length) if cfg.context_sensitivity == 0.0 \
-            else 1 + (cfg.cfg_scale != 1.0)
+            else max(min(_BLOCK_ELEMS // cfg.vocab, length),
+                     1 + (cfg.cfg_scale != 1.0))
     elif cfg.mode == "mask":
         rows = cells
     elif cfg.mode == "scale":

@@ -163,7 +163,8 @@ OVERSIZED = [
 AT_LIMIT = [
     dict(vocab=MAX_VOCAB, height=1, width=1),
     dict(mode="next-token", vocab=MAX_VOCAB, height=1, width=64),
-    # under context next-token queries one row at a time
+    # under context next-token windows hold at most a kernel block of
+    # logits per query kind, and one row where a row fills the block
     dict(mode="next-token", vocab=MAX_VOCAB, height=1, width=65,
          context_sensitivity=0.5, length=MAX_LENGTH),
     dict(mode="mask", vocab=MAX_QUERY_LOGITS // MAX_CELLS, height=1024,
@@ -184,9 +185,14 @@ QUERY_CONFIGS = [
     # next-token at context 0: one query per grid, or a shorter length
     dict(mode="next-token", length=7),
     dict(mode="next-token", length=45),
-    # under context one row per token and query kind: two under guidance
-    dict(mode="next-token", context_sensitivity=0.5),
-    dict(mode="next-token", context_sensitivity=0.5, cfg_scale=1.0),
+    # under context, verified windows of up to a span of positions per
+    # query kind: at a vocabulary of 4096 a span holds 8, and with every
+    # draw the target (kappa 1, top-k 1) the windows of 4 and 8 slots after
+    # four one-row steps reach it
+    dict(mode="next-token", vocab=4096, length=20, context_sensitivity=0.5,
+         kappa_bg=1.0, top_k=1),
+    dict(mode="next-token", vocab=4096, length=20, context_sensitivity=0.5,
+         kappa_bg=1.0, top_k=1, cfg_scale=1.0),
     dict(mode="mask", steps=4),
     dict(mode="scale"),
     # the largest scale is not the last one
@@ -195,23 +201,35 @@ QUERY_CONFIGS = [
     dict(mode="spec-entropy", window=9, length=6, context_sensitivity=0.5),
     dict(mode="spec-baseline", window=3, length=12, context_sensitivity=0.5),
     # a large vocabulary: a Jacobi span of a block's 8 positions plus a
-    # window, and next-token chunks of 8 positions
+    # window
     dict(mode="spec-entropy", vocab=4096, window=16, length=40,
          context_sensitivity=0.5),
+    # where one row fills a kernel block a span holds one position, and
+    # every token is a one-row step of both query kinds
+    dict(mode="next-token", vocab=1 << 15, length=3,
+         context_sensitivity=0.5),
+]
+
+# Configs whose largest query depends on their draws and stays below the
+# size that config._check_sizes counts: next-token decoding under context
+# at high entropy, where few drafts verify and windows stay short.
+BOUNDED_QUERY_CONFIGS = [
+    dict(mode="next-token", context_sensitivity=0.5),
+    dict(mode="next-token", context_sensitivity=0.5, cfg_scale=1.0),
     dict(mode="next-token", vocab=4096, length=20, context_sensitivity=0.5),
 ]
 
 
 class TestSizeLimits:
-    @pytest.mark.parametrize("keys", QUERY_CONFIGS)
-    def test_query_limit_is_the_largest_query(self, monkeypatch, keys):
-        # The limit must admit exactly the logits of the largest query the
-        # decoders make, so the check and the decoders' batching cannot
-        # drift apart. It bounds logits_rows (a Jacobi window's query) and
-        # logits_kinds. The position-input spans that next-token and Jacobi
-        # decoding derive ahead are not queries: per query kind they hold
-        # at most a kernel block (_kernels_py._BLOCK_ELEMS values) beyond
-        # the largest query, which is checked here too.
+    @staticmethod
+    def largest_query(monkeypatch, keys):
+        """The config of ``keys`` on a small base, and the logits of its
+        largest query when decoded. The limit bounds logits_rows (a
+        window's query) and logits_kinds. The position-input spans that
+        next-token and Jacobi decoding derive ahead are not queries: per
+        query kind they hold at most a kernel block
+        (_kernels_py._BLOCK_ELEMS values) beyond the largest query, which
+        is checked here too."""
         cfg = RunConfig(**{"vocab": 8, "height": 4, "width": 5, "seed": 1,
                            "cfg_scale": 1.5, **keys})
         largest = span = 0
@@ -240,8 +258,25 @@ class TestSizeLimits:
         run(cfg)
         assert largest > 0
         assert span <= largest + _BLOCK_ELEMS
+        return cfg, largest
+
+    @pytest.mark.parametrize("keys", QUERY_CONFIGS)
+    def test_query_limit_is_the_largest_query(self, monkeypatch, keys):
+        # The limit must admit exactly the logits of the largest query the
+        # decoders make, so the check and the decoders' batching cannot
+        # drift apart.
+        cfg, largest = self.largest_query(monkeypatch, keys)
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest)
         build_run(cfg)
+        monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest - 1)
+        with pytest.raises(ConfigValueError, match="query"):
+            build_run(cfg)
+
+    @pytest.mark.parametrize("keys", BOUNDED_QUERY_CONFIGS)
+    def test_query_limit_bounds_the_largest_query(self, monkeypatch, keys):
+        # where the largest query depends on the draws, the limit counts
+        # at least its logits: a limit just below them refuses the config
+        cfg, largest = self.largest_query(monkeypatch, keys)
         monkeypatch.setattr(config, "MAX_QUERY_LOGITS", largest - 1)
         with pytest.raises(ConfigValueError, match="query"):
             build_run(cfg)

@@ -136,8 +136,9 @@ class TestJacobiExactLaw:
 class TestNextTokenKernelCalls:
     @pytest.mark.parametrize("cfg_scale", [1.0, 1.5])
     def test_one_kernel_call_per_token(self, monkeypatch, cfg_scale):
-        # under context each token's query kinds share one one-row kernel
-        # call, with or without guidance
+        # under context a one-row step's query kinds share one one-row
+        # kernel call, with or without guidance, and a verified window
+        # emits its slots with none
         calls = 0
         kernel = _kernels_py.raw_logits
 
@@ -154,7 +155,7 @@ class TestNextTokenKernelCalls:
                                            RngStream(2), top_k=4,
                                            cfg_scale=cfg_scale)
         assert len(tokens) == length
-        assert calls == length
+        assert calls <= length
 
 
 class FixedOracle:
@@ -262,13 +263,33 @@ class TestCheckCounts:
         return calls
 
     def test_next_token_under_context(self, monkeypatch):
+        # at most one score call per token: a one-row step or a window
         calls = self.count(monkeypatch)
         oracle = Oracle(OracleConfig(vocab=64, shape=(8, 8), seed=1,
                                      context_sensitivity=0.5))
         tokens, _, _ = next_token_generate(oracle, 64, preset("llamagen"),
                                            RngStream(2), top_k=16,
                                            cfg_scale=1.5)
-        assert len(tokens) == 64 and calls["score"] == 64
+        assert len(tokens) == 64 and 0 < calls["score"] <= 64
+        assert calls["as_logits"] <= 2 * calls["score"]
+        assert calls["validate_probs"] == 0
+
+    @pytest.mark.parametrize("kappa_bg,low,high", [
+        # seq-context's config: long low-entropy runs verify in windows
+        (0.9, 0.0, 0.4),
+        # high entropy everywhere keeps decoding on one-row steps
+        (0.1, 0.95, 1.0)], ids=["seq-context", "flat"])
+    def test_next_token_score_calls_per_token(self, monkeypatch, kappa_bg,
+                                              low, high):
+        calls = self.count(monkeypatch)
+        cfg = RunConfig(mode="next-token", vocab=64, height=64, width=64,
+                        kappa_bg=kappa_bg, kappa_fg=0.1,
+                        rect=(16, 16, 32, 32), preset="llamagen",
+                        context_sensitivity=0.5, cfg_scale=1.5, top_k=16,
+                        length=4096, seed=0)
+        res = run(cfg)
+        assert res.model_invocations == 4096
+        assert low <= calls["score"] / 4096 <= high
         assert calls["as_logits"] <= 2 * calls["score"]
         assert calls["validate_probs"] == 0
 
@@ -306,6 +327,82 @@ class TestNextTokenLongGolden:
         assert float_digest(tokens) == "40eae20490566be9"
         assert float_digest(eps) == "225cb8a00efc18c8"
         assert float_digest(temps) == "2b5320e04274bd09"
+
+
+def one_position_loop(oracle, length, tp, rng, **options):
+    """Next-token decoding under context one position at a time, as the
+    reference: score the position on its prefix's digest, draw with the
+    next uniform, append the token."""
+    running = _kernels_py.RunningDigest()
+    tokens, eps_list, temps = [], [], []
+    for pos in range(length):
+        probs, eps, t = score(oracle, pos, running.digest(), tp, **options)
+        token = dist.inverse_cdf(probs, rng.uniform())
+        running.append((token,), (pos,))
+        tokens.append(token)
+        eps_list.append(eps)
+        temps.append(float(t))
+    return tokens, eps_list, temps
+
+
+class TestVerifiedWindows:
+    """Next-token decoding under context verifies runs of drafts in
+    batched windows; every token, entropy and temperature must equal the
+    one-position loop's, bit for bit."""
+
+    CHUNK = 8  # positions per span, and the largest window
+
+    @pytest.mark.parametrize("context", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("cfg_scale", [1.0, 1.5])
+    @pytest.mark.parametrize("filters", [{}, {"top_k": 5}, {"top_p": 0.8}],
+                             ids=["plain", "top-k", "top-p"])
+    def test_matches_the_one_position_loop(self, monkeypatch, context,
+                                           cfg_scale, filters):
+        # low-entropy rows around a high-entropy rectangle, so runs of
+        # verified drafts end in mismatches
+        oracle = Oracle(OracleConfig(
+            vocab=16, shape=(8, 8),
+            profile=profile_rect((8, 8), 0.9, 0.1, (2, 2, 4, 4)), seed=5,
+            context_sensitivity=context))
+        tp = preset("llamagen")
+        options = dict(filters, cfg_scale=cfg_scale)
+        length = 200
+        want = one_position_loop(oracle, length, tp, RngStream(4), **options)
+
+        calls, spans = [], []
+        scored = decode.score
+        derive = Oracle.position_inputs
+
+        def recording(oracle, positions, *args, **kwargs):
+            calls.append(positions if isinstance(positions, int)
+                         else (int(positions[0]), len(positions)))
+            return scored(oracle, positions, *args, **kwargs)
+
+        def position_inputs(self, positions, *args, **kwargs):
+            spans.append((positions.start, positions.stop))
+            return derive(self, positions, *args, **kwargs)
+
+        monkeypatch.setattr(decode, "score", recording)
+        monkeypatch.setattr(Oracle, "position_inputs", position_inputs)
+        monkeypatch.setattr(decode, "_BLOCK_ELEMS", self.CHUNK * 16)
+        got = next_token_generate(oracle, length, tp, RngStream(4),
+                                  **options)
+        assert got[0] == want[0]
+        assert float_digest(got[1]) == float_digest(want[1])
+        assert float_digest(got[2]) == float_digest(want[2])
+
+        # a window is followed by a window at its end where every slot
+        # verified, and by a one-row step after its first mismatch
+        windows = [(c, nxt) for c, nxt in zip(calls, calls[1:] + [length])
+                   if not isinstance(c, int)]
+        assert max(m for (_, m), _ in windows) == self.CHUNK
+        assert any(not isinstance(nxt, int) and nxt[0] == p + m
+                   for (p, m), nxt in windows)
+        assert any(isinstance(nxt, int) and nxt < p + m
+                   for (p, m), nxt in windows)
+        # a span re-derived before its last position was decoded
+        assert any(start < stop for (_, stop), (start, _)
+                   in zip(spans, spans[1:]))
 
 
 # 8x8 at V = 16, as the goldens: mask and scale under context, next-token
