@@ -1,7 +1,7 @@
-"""Time next-token decoding's two steps under context per emitted slot: a
-verified window of w slots against the one-row step.
+"""Time next-token decoding's steps under context per emitted slot: a
+verified window of w slots against the one-row step and its batched form.
 
-    PYTHONPATH=src python3 benchmarks/bench_window.py --out BENCH_25.json
+    PYTHONPATH=src python3 benchmarks/bench_window.py --out BENCH_26.json
 
 ``decode._MIN_WINDOW`` is the fewest slots a window opens with, so it
 should be the smallest w at which a window whose slots all verify costs
@@ -12,7 +12,12 @@ a kappa of 0.9 everywhere (the low-entropy rows where windows open), and
 seed 0. It times, on positions 0 to 511 of one span of position inputs:
 
 - the one-row step: ``decode.score`` of one position on its digest, with
-  its entry of the span, ``dist.inverse_cdf`` and the digest's append;
+  the span (``Oracle.logits_kinds`` reads the position's column),
+  ``dist.inverse_cdf`` and the digest's append;
+- the one-row step as the N = 1 case of the batched query: one
+  ``Oracle.logits_rows`` call of one position with the span, the 1-D
+  pipeline on its rows, ``dist.inverse_cdf`` and the append (the form
+  that would let ``logits_kinds`` go);
 - a window of w slots: ``RunningDigest.continuation`` of w drafts, the
   slots' digests, one batched ``decode.score`` with the span,
   ``dist._sample_rows`` and the comparison with the drafts.
@@ -21,8 +26,9 @@ Each cost is the best of ``REPEATS`` rounds, a round timing each step on
 ``SLOTS`` consecutive slots, in an order that alternates from round to
 round. It writes, under the key ``"crossover"`` of the ``--out`` JSON file
 (created if it does not exist, other keys kept): microseconds per slot of
-the one-row step and of each window size, and the smallest window size
-whose per-slot cost is below the one-row step's. It asserts nothing.
+the one-row step, of its batched form and of each window size, and the
+smallest window size whose per-slot cost is below the one-row step's. It
+asserts nothing.
 """
 
 import argparse
@@ -38,6 +44,7 @@ from entropix import decode, dist
 from entropix._kernels_py import _mix64_vec
 from entropix.config import RunConfig, build_run
 from entropix.oracle import RunningDigest
+from entropix.temperature import pipeline_probs
 
 SIZES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 SLOTS = 512
@@ -57,7 +64,6 @@ def main(argv=None) -> int:
     options = dict(top_k=cfg.top_k, cfg_scale=cfg.cfg_scale)
     span = oracle.position_inputs(range(SLOTS),
                                   decode.query_kinds(cfg.cfg_scale))
-    rows = list(span.rows())
     drafts = decode._drafts(span, 0)
     u = np.random.default_rng(0).random(SLOTS)
 
@@ -65,7 +71,18 @@ def main(argv=None) -> int:
         running = RunningDigest()
         for pos in range(SLOTS):
             probs, _, _ = decode.score(oracle, pos, running.digest(), tp,
-                                       inputs=rows[pos], **options)
+                                       inputs=span, **options)
+            token = dist.inverse_cdf(probs, u[pos])
+            running.append((token,), (pos,))
+        return SLOTS
+
+    def one_row_batched():
+        running = RunningDigest()
+        for pos in range(SLOTS):
+            cond, uncond = oracle.logits_rows([pos], running.digest(),
+                                              span.kinds, inputs=span)[:, 0]
+            probs, _, _ = pipeline_probs(cond, uncond, cfg.cfg_scale, tp,
+                                         cfg.top_k)
             token = dist.inverse_cdf(probs, u[pos])
             running.append((token,), (pos,))
         return SLOTS
@@ -83,7 +100,7 @@ def main(argv=None) -> int:
             running.advance(folds[w])
         return SLOTS - SLOTS % w
 
-    steps = [("one-row", one_row)] + [
+    steps = [("one-row", one_row), ("batched", one_row_batched)] + [
         (w, lambda w=w: windows(w)) for w in SIZES]
     best = {name: float("inf") for name, _ in steps}
     for rnd in range(REPEATS):
@@ -92,7 +109,7 @@ def main(argv=None) -> int:
             slots = step()
             per_slot = (time.perf_counter() - start) / slots * 1e6
             best[name] = min(best[name], per_slot)
-    one = best.pop("one-row")
+    one, batched = best.pop("one-row"), best.pop("batched")
     below = [w for w in SIZES if best[w] < one]
     record = {
         "machine": {"nproc": len(os.sched_getaffinity(0)),
@@ -100,6 +117,7 @@ def main(argv=None) -> int:
                     "numpy": np.__version__},
         "config": CONFIG, "slots": SLOTS, "repeats": REPEATS,
         "one_row_us_per_slot": one,
+        "one_row_batched_us_per_slot": batched,
         "window_us_per_slot": {str(w): best[w] for w in SIZES},
         "smallest_cheaper_window": below[0] if below else None,
         "min_window": decode._MIN_WINDOW}
@@ -107,6 +125,8 @@ def main(argv=None) -> int:
         print(f"w={w}: {best[w]:.1f} us/slot, "
               f"{best[w] * w:.1f} us/window (one-row {one:.1f})",
               file=sys.stderr)
+    print(f"one-row step {one:.1f} us, as a batched query {batched:.1f} us",
+          file=sys.stderr)
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as f:

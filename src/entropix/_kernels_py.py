@@ -21,9 +21,10 @@ gathers each block's rows of it (``noise_rows``) into its output itself.
 Mask decoding hashes the position noise of the whole grid once and reads
 the open rows of it at every step; next-token and Jacobi decoding under
 context hash it a chunk of positions at a time, both query kinds
-together: a one-row step of next-token decoding passes its position's
-[k, V] rows to one ``raw_logits`` call, and a window (next-token decoding's
-verified windows, Jacobi windows) reads its rows of the chunk.
+together. A one-row step of next-token decoding reads its position's
+[k, V] column of the chunk into one ``raw_logits`` call, and a window
+(next-token decoding's verified windows, Jacobi windows) gathers its rows
+of every kind from the chunk into one ``raw_logits_rows`` call.
 
 Turning a hash into a float is the kernel's slow lane: numpy casts uint64
 to float64 at about 7 ns a value on a 32,768-value block, against 1 ns for

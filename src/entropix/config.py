@@ -33,12 +33,14 @@ MODES = ("next-token", "mask", "scale", "spec-baseline", "spec-entropy")
 
 # Size limits, checked before anything is allocated. They admit an
 # LLM-sized vocabulary, grids and ladder entries of up to 2^20 cells, and
-# 2^24 logits per logical oracle query. A query that covers many positions
-# on one digest is scored a cache block of rows at a time
-# (decode.score_draw), so its working memory is one block and its outputs
-# are O(rows). A query scores rows x vocab logits, so where it covers the
-# whole grid (mask mode, scale mode's largest scale, next-token at context
-# 0 without a shorter length) the grid is bounded by 2^24 / vocab cells:
+# 2^24 logits per query kind of a logical oracle query (under guidance a
+# query scores the conditional and unconditional rows of its positions as
+# one batch, twice that in all). A query that covers many positions on one
+# digest is scored a cache block of rows at a time (decode.score_draw), so
+# its working memory is one block and its outputs are O(rows). A query
+# scores rows x vocab logits a kind, so where it covers the whole grid
+# (mask mode, scale mode's largest scale, next-token at context 0 without
+# a shorter length) the grid is bounded by 2^24 / vocab cells:
 # 512x512 at the default vocab of 64, 1024x1024 at a vocab of 16. MAX_CELLS
 # also keeps every scale below scales.SCALE_STRIDE = 2^24, so the position
 # keys of two scales never meet.
@@ -269,14 +271,12 @@ def _check_sizes(cfg: RunConfig):
         if h * w > MAX_CELLS:
             raise ConfigValueError(
                 f"ladder entry {h}x{w} has more than {MAX_CELLS} cells")
-    # rows of the largest batched oracle query the run makes
+    # rows per query kind of the largest oracle query the run makes
     if cfg.mode == "next-token":
         # blocks of up to a grid at context 0; under context, verified
         # windows of up to a span of positions (decode.next_token_generate)
-        # per query kind, and one-row steps that query both kinds at once
         rows = min(cells, length) if cfg.context_sensitivity == 0.0 \
-            else max(min(_BLOCK_ELEMS // cfg.vocab, length),
-                     1 + (cfg.cfg_scale != 1.0))
+            else min(max(1, _BLOCK_ELEMS // cfg.vocab), length)
     elif cfg.mode == "mask":
         rows = cells
     elif cfg.mode == "scale":

@@ -4,12 +4,13 @@
 the entropy of the guided distribution, pick its temperature and build the
 distribution to draw from. Every decoder calls it. ``score_draw`` scores
 and draws the many positions of one shared digest (a mask step, a scale, a
-grid of a stationary oracle) a cache block of rows at a time. Next-token
-decoding under context scores one position at a time (one query,
-``Oracle.logits_kinds``, gives its conditional and unconditional rows)
-until a run of positions drew their drafts, and then verifies the next
-slots in one batched window, emitting exactly the one-position loop's
-tokens.
+grid of a stationary oracle) a cache block of rows at a time. Every
+``score`` call is one oracle query, and one kernel call, for all its query
+kinds: under guidance the conditional and unconditional rows are one
+batch. Next-token decoding under context scores one position at a time
+(``Oracle.logits_kinds``) until a run of positions drew their drafts, and
+then verifies the next slots in one batched window, emitting exactly the
+one-position loop's tokens.
 """
 
 from typing import Callable, List, Optional
@@ -34,18 +35,20 @@ def score(oracle: Oracle, positions, digests, tp: TempParams,
           cfg_scale: float = 1.0, kappas=None,
           adjust_temperature: Optional[Callable] = None, inputs=None):
     """(probs, entropy, applied temperature) of positions conditioned on
-    their prefix digests; the unconditional query runs only under guidance.
+    their prefix digests; the unconditional kind is scored only under
+    guidance.
 
-    A sequence of positions is one batched query (``Oracle.logits_rows``)
-    per query kind, one row per position; ``digests`` is one digest per
-    position, or one int that every position shares (mask, scale and
-    next-token decoding without context pass it once). ``inputs`` is then
-    an ``Oracle.position_inputs`` span of the positions and the query
-    kinds that both queries read, or None for them to derive their own. A
-    single int position, digest and kappa is the one-row case: one query of
-    both kinds (``Oracle.logits_kinds``) and the 1-D pipeline, returning a
-    probability vector and two scalars. ``inputs`` is then the position's
-    entry of ``PositionInputs.rows`` for those kinds, or None.
+    Each call makes exactly one oracle query, for every kind of
+    ``query_kinds(cfg_scale)``, and passes its first stack and, under
+    guidance, its second to ``pipeline_probs``. A sequence of positions is
+    the batched query (``Oracle.logits_rows``), one row per position and
+    kind; ``digests`` is one digest per position, or one int that every
+    position shares (mask, scale and next-token decoding without context
+    pass it once). A single int position, digest and kappa is the one-row
+    case (``Oracle.logits_kinds``) and the 1-D pipeline, returning a
+    probability vector and two scalars. Either way ``inputs`` is an
+    ``Oracle.position_inputs`` span of those kinds that holds the
+    positions, read by the query, or None for it to derive its own.
 
     A sequence returns the whole [N, V] probability stack, so of the
     decoders only windows pass one: Jacobi windows (at most ``window``
@@ -54,18 +57,12 @@ def score(oracle: Oracle, positions, digests, tp: TempParams,
     Decoders that score many positions on one digest call ``score_draw``,
     which runs this on a block of rows at a time.
     """
-    guided = cfg_scale != 1.0
-    if isinstance(positions, (int, np.integer)):
-        logits = oracle.logits_kinds(positions, digests,
-                                     query_kinds(cfg_scale), kappas, inputs)
-        uncond = logits[1] if guided else None
-        logits = logits[0]
-    else:
-        logits = oracle.logits_rows(positions, digests, True, kappas, inputs)
-        uncond = oracle.logits_rows(positions, digests, False, kappas,
-                                    inputs) if guided else None
-    return pipeline_probs(logits, uncond, cfg_scale, tp, top_k, top_p,
-                          adjust_temperature)
+    kinds = query_kinds(cfg_scale)
+    query = oracle.logits_kinds if isinstance(positions, (int, np.integer)) \
+        else oracle.logits_rows
+    logits = query(positions, digests, kinds, kappas, inputs)
+    return pipeline_probs(logits[0], logits[1] if len(kinds) > 1 else None,
+                          cfg_scale, tp, top_k, top_p, adjust_temperature)
 
 
 def score_draw(oracle: Oracle, positions, digest: int, u: np.ndarray,
@@ -128,19 +125,22 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     the context keys depend on the prefix: the rest of each position's
     inputs (``Oracle.position_inputs``, its position noise included) is
     derived for a span of up to ``_BLOCK_ELEMS`` noise values per query
-    kind (512 positions at V = 64) at a time, with the span's uniforms, one
-    per position in position order, so ``length`` in all. Every position
-    also gets a draft: the token the last window drew for it, if that
-    window scored it, or else the first-ranked token of its prefix-free
-    conditional logits (``_drafts``). A draft takes no random draw.
+    kind (512 positions at V = 64) at a time. The uniforms are drawn once,
+    ``rng.uniforms(length)``, one per position in position order: the
+    stream of drawing them a span or a token at a time. Every position also
+    gets a draft: the token the last window drew for it, if that window
+    scored it, or else, when a span first holds the position, the
+    first-ranked token of its prefix-free conditional logits (``_drafts``).
+    A draft takes no random draw. Uniforms and drafts are kept by absolute
+    position, one array each.
 
     While fewer than ``_MIN_WINDOW`` slots in a row drew their drafts, a
-    token is one one-row step: one query of its kinds (one kernel call for
-    the guidance pair), the 1-D pipeline and ``dist.inverse_cdf``. Such a
-    step extends the run only where its draw, its draft, had probability at
-    least 1/2: at high entropy a draw matches its draft by chance, and
-    windows opened on such matches emitted about 1.7 slots each. After
-    that, the next slots are scored as one window, as a Jacobi window is:
+    token is one one-row step: one query of its kinds on the span (one
+    kernel call for the guidance pair), the 1-D pipeline and
+    ``dist.inverse_cdf``. Such a step extends the run only where its draw,
+    its draft, had probability at least 1/2: at high entropy a draw matches
+    its draft by chance, and windows opened on such matches emitted about
+    1.7 slots each. After that, the next slots are scored as one window, as a Jacobi window is:
     one batched ``score`` on the digests of the prefix plus the drafts
     before each slot (``RunningDigest.continuation``), each row drawn with
     its own uniform (``dist._sample_rows``). The window emits every slot up
@@ -152,7 +152,7 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     steps. A window whose slots all verified doubles the next one, up to
     the span's length and the remaining length; a window that would run
     past its span re-derives the span from its first slot, keeping the
-    uniforms and drafts of the positions the old span held.
+    drafts of the positions the old span held.
 
     The draws run ``dist``'s draw cores without revalidating: the rows
     come from ``pipeline_probs``, which builds valid distributions.
@@ -174,35 +174,27 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     running = RunningDigest()
     kinds = query_kinds(cfg_scale)
     chunk = max(1, _BLOCK_ELEMS // oracle.cfg.vocab)
-    # the span [start, stop) of positions whose inputs, uniforms and drafts
-    # are held; rows are its one-row inputs, listed when a step needs them
-    start = stop = 0
-    u = np.empty(0)
-    drafts = np.empty(0, dtype=np.int64)
-    rows = None
-    pos = streak = 0
+    # every position's uniform, and its draft once a span has held it;
+    # span covers the positions up to stop
+    u = rng.uniforms(length)
+    drafts = np.empty(length, dtype=np.int64)
+    pos = stop = streak = 0
     width = _MIN_WINDOW
     while pos < length:
         m = min(width, chunk, length - pos) if streak >= _MIN_WINDOW else 1
         if pos + m > stop:
             span = oracle.position_inputs(
                 range(pos, min(pos + chunk, length)), kinds)
-            keep = pos - start
-            u = np.concatenate((u[keep:], rng.uniforms(span.stop - stop)))
-            drafts = np.concatenate((drafts[keep:],
-                                     _drafts(span, stop - pos)))
-            start, stop, rows = pos, span.stop, None
-        i = pos - start
+            drafts[stop:span.stop] = _drafts(span, stop - pos)
+            stop = span.stop
         if m == 1:
-            if rows is None:
-                rows = list(span.rows())
             probs, eps, t = score(oracle, pos, running.digest(), tp, top_k,
-                                  top_p, cfg_scale, inputs=rows[i])
-            token = dist.inverse_cdf(probs, u[i])
+                                  top_p, cfg_scale, inputs=span)
+            token = dist.inverse_cdf(probs, u[pos])
             running.append((token,), (pos,))
             # a draw that matches its draft by chance, as high-entropy
             # rows' draws do, predicts nothing about the next slots
-            sure = token == drafts[i] and probs[token] >= 0.5
+            sure = token == drafts[pos] and probs[token] >= 0.5
             streak = streak + 1 if sure else 0
             tokens.append(token)
             eps_list.append(eps)
@@ -210,17 +202,17 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
             pos += 1
             continue
         positions = np.arange(pos, pos + m)
-        folds = running.continuation(drafts[i:i + m], positions)
+        folds = running.continuation(drafts[pos:pos + m], positions)
         probs, eps, t = score(oracle, positions, _mix64_vec(folds[:m]), tp,
                               top_k, top_p, cfg_scale, inputs=span)
-        drawn = dist._sample_rows(probs, u[i:i + m])
-        miss = np.flatnonzero(drawn != drafts[i:i + m])
+        drawn = dist._sample_rows(probs, u[pos:pos + m])
+        miss = np.flatnonzero(drawn != drafts[pos:pos + m])
         if miss.size:
             # the slots past the first mismatch conditioned on a wrong
             # draft: their draws are only the next slots' drafts
             n = int(miss[0]) + 1
             running.advance(folds[n - 1], int(drawn[n - 1]), pos + n - 1)
-            drafts[i + n:i + m] = drawn[n:]
+            drafts[pos + n:pos + m] = drawn[n:]
             streak, width = 0, _MIN_WINDOW
         else:
             n = m

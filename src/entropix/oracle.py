@@ -146,8 +146,8 @@ class Oracle:
                         ) -> "PositionInputs":
         """The prefix-free inputs of the rows at the consecutive
         ``positions``, one table per query kind of ``kinds`` (True is
-        conditional): the one derivation that ``logits_rows`` and
-        ``logits_kinds`` read instead of deriving their own. Every kind's
+        conditional): the span that ``logits_rows`` and ``logits_kinds``
+        read, for those kinds, instead of deriving their own. Every kind's
         position noise is hashed in one kernel call. ``kappas`` overrides
         the profile lookup per position.
         """
@@ -165,17 +165,18 @@ class Oracle:
     def logits_kinds(self, linear_pos: int, digest: int,
                      kinds: Sequence[bool] = (True, False),
                      kappa: Optional[float] = None,
-                     inputs: Optional[Tuple] = None) -> np.ndarray:
+                     inputs: Optional["PositionInputs"] = None) -> np.ndarray:
         """[k, V] logits of one position conditioned on ``digest``, a row
         per query kind of ``kinds``: under guidance, the conditional and
         unconditional pair in one call of the kernel ``raw_logits``.
 
-        ``inputs`` is the position's entry of ``PositionInputs.rows`` for
-        these kinds, read, never written. Without it the query derives the
+        ``inputs`` is a ``position_inputs`` span of exactly these kinds
+        that holds the position, as for ``logits_rows``; the query reads
+        the position's column of it. Without it the query derives the
         position's keys, targets and gaps (``_row_inputs`` on one int, with
         ``kappa`` overriding the profile), and the kernel hashes the
-        position noise itself. Only the context keys depend on
-        the prefix, one Python ``mix64`` per row.
+        position noise itself: the reference form. Only the context keys
+        depend on the prefix, one Python ``mix64`` per row.
         """
         if inputs is None:
             pos = operator.index(linear_pos)
@@ -183,10 +184,12 @@ class Oracle:
                                        for kind in kinds))
             noise = None
         else:
-            keys, tstars, gaps, noise = inputs
-        mix64 = _kernels_py.mix64
+            col = _span_rows(inputs, linear_pos, kinds, kappa)
+            keys, tstars, gaps = (a[:, col].tolist() for a in (
+                inputs.keys, inputs.targets, inputs.gaps))
+            noise = inputs.noise[:, col]
         return _kernels_py.raw_logits(
-            keys, [mix64(pk ^ digest) for pk in keys],
+            keys, [_kernels_py.mix64(pk ^ digest) for pk in keys],
             self.cfg.context_sensitivity, self.cfg.vocab, tstars, gaps, noise)
 
     def logits_from_digest(self, linear_pos: int, digest: int,
@@ -199,12 +202,15 @@ class Oracle:
                                  kappa)[0]
 
     def logits_rows(self, positions: Sequence[int], digests,
-                    conditional: bool = True,
+                    kinds: Sequence[bool] = (True, False),
                     kappas: Optional[Sequence[float]] = None,
                     inputs: Optional["PositionInputs"] = None) -> np.ndarray:
-        """[N, V] logits in one query: row n is position ``positions[n]``
-        conditioned on the prefix digest ``digests[n]``, or on ``digests``
-        itself when it is one digest that every row shares.
+        """[k, N, V] logits in one query, a stack per query kind of
+        ``kinds`` (True is conditional): row n of each is position
+        ``positions[n]`` conditioned on the prefix digest ``digests[n]``, or
+        on ``digests`` itself when it is one digest that every row shares.
+        All k·N rows come from one ``raw_logits_rows`` call, so under
+        guidance the conditional and unconditional rows are one batch.
 
         A Jacobi window makes this single call for its slots, as one
         forward pass would, with one digest per slot. A decode step that
@@ -214,40 +220,64 @@ class Oracle:
         makes it a cache block of rows at a time, one call per block; the
         array arithmetic broadcasts the shared digest. ``kappas`` overrides
         the profile lookup per row. ``inputs`` is a ``position_inputs`` span
-        that covers every position and holds this query kind: the query
-        reads its rows' keys, targets, gaps and noise from it and never
-        writes it, so only the context term is hashed, and one span serves
-        any number of queries. Otherwise every row's inputs are derived
-        with array operations, as for ``logits_kinds``, and
-        ``raw_logits_rows`` is bit-identical to ``raw_logits``, so row n
-        equals ``logits_from_digest(positions[n], digests[n])``.
+        of exactly these kinds that covers every position: the query reads
+        its rows' keys, targets, gaps and noise from it and never writes
+        it, so only the context term is hashed, and one span serves any
+        number of queries. A span's kinds lie one after another, so the
+        rows of several kinds are gathered from its flat views. Otherwise
+        every row's inputs are derived with array operations, as for
+        ``logits_kinds``, and ``raw_logits_rows`` is bit-identical to
+        ``raw_logits``, so row n of kind j equals
+        ``logits_from_digest(positions[n], digests[n], kinds[j])``.
         """
         cfg = self.cfg
         pos = np.asarray(positions, dtype=np.int64)
-        n = pos.shape[0]
+        n, k = pos.shape[0], len(kinds)
         digests = np.asarray(digests, dtype=np.uint64)
         if digests.ndim and digests.shape != (n,):
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
-        if inputs is None:
-            pk, tstars, gaps = self._row_inputs(pos, conditional, kappas)
-            noise = rows = None
+        if inputs is not None:
+            rows = _span_rows(inputs, pos, kinds, kappas)
+            if k == 1:
+                pk, tstars, gaps = (inputs.keys[0][rows],
+                                    inputs.targets[0][rows],
+                                    inputs.gaps[0][rows])
+                noise = inputs.noise[0]
+            else:
+                # kind j's table starts at row j * (span length) of the
+                # flat views
+                rows = (np.arange(k)[:, None] * inputs.keys.shape[1]
+                        + rows).reshape(-1)
+                pk, tstars, gaps = (a.reshape(-1)[rows] for a in (
+                    inputs.keys, inputs.targets, inputs.gaps))
+                noise = inputs.noise.reshape(-1, cfg.vocab)
         else:
-            if kappas is not None:
-                raise ValueError("the inputs fix the kappas")
-            rows = pos - inputs.start
-            if n and (rows.min() < 0 or pos.max() >= inputs.stop):
-                raise ValueError("inputs must have a row for every position")
-            j = inputs.kinds.index(conditional)
-            pk, tstars, gaps = (inputs.keys[j][rows], inputs.targets[j][rows],
-                                inputs.gaps[j][rows])
-            noise = inputs.noise[j]
+            pk, tstars, gaps = (np.concatenate(col) for col in zip(
+                *(self._row_inputs(pos, kind, kappas) for kind in kinds)))
+            rows = noise = None
+        if k > 1 and digests.ndim:
+            digests = np.tile(digests, k)
         ctx = _kernels_py._mix64_vec(pk ^ digests) \
             if cfg.context_sensitivity != 0.0 else None
         return _kernels_py.raw_logits_rows(
             pk, ctx, cfg.context_sensitivity, cfg.vocab, tstars, gaps, noise,
-            rows)
+            rows).reshape(k, n, cfg.vocab)
+
+
+def _span_rows(inputs: "PositionInputs", pos, kinds, kappas):
+    """The columns of the span ``inputs`` that hold ``pos``, one int or an
+    int64 array, checked: the span must hold every position and exactly
+    the query's kinds, and it fixes the kappas."""
+    if kappas is not None or tuple(kinds) != inputs.kinds:
+        raise ValueError("the inputs fix the query kinds and the kappas")
+    rows, n = pos - inputs.start, inputs.keys.shape[1]
+    # a negative row, read as uint64, exceeds every valid one
+    if not (0 <= rows < n if isinstance(rows, int)
+            else not rows.size or rows.view(np.uint64).max() < n):
+        raise ValueError("inputs must have a row for every position")
+    return rows
 
 
 class PositionInputs(NamedTuple):
@@ -255,8 +285,11 @@ class PositionInputs(NamedTuple):
     that does not depend on the prefix, one table per query kind of
     ``kinds`` (True is conditional): position keys and targets, uint64
     [k, n]; gaps, float64 [k, n]; and position noise, the ``(1 - c) * u``
-    half of each row, float64 [k, n, V]. Each kind's rows are contiguous,
-    so a batched query gathers them without copying the table. Made by
+    half of each row, float64 [k, n, V]. Each kind's rows are contiguous
+    and follow the last kind's, so a batched query gathers the rows of all
+    its kinds from the tables' flat views without copying them, and a
+    one-row query reads a position's column. Both queries take the span
+    as their ``inputs`` for exactly its kinds. Made by
     ``Oracle.position_inputs`` and only read by the queries.
     """
     start: int
@@ -270,10 +303,3 @@ class PositionInputs(NamedTuple):
     def stop(self) -> int:
         """One past the span's last position."""
         return self.start + self.keys.shape[1]
-
-    def rows(self):
-        """Per position, the ``inputs`` of ``Oracle.logits_kinds``: its
-        kinds' keys, targets and gaps as lists of Python numbers, and its
-        [k, V] noise."""
-        return zip(self.keys.T.tolist(), self.targets.T.tolist(),
-                   self.gaps.T.tolist(), self.noise.transpose(1, 0, 2))

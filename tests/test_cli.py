@@ -205,7 +205,7 @@ QUERY_CONFIGS = [
     dict(mode="spec-entropy", vocab=4096, window=16, length=40,
          context_sensitivity=0.5),
     # where one row fills a kernel block a span holds one position, and
-    # every token is a one-row step of both query kinds
+    # every token is a one-row step, one row per query kind
     dict(mode="next-token", vocab=1 << 15, length=3,
          context_sensitivity=0.5),
 ]
@@ -224,12 +224,12 @@ class TestSizeLimits:
     @staticmethod
     def largest_query(monkeypatch, keys):
         """The config of ``keys`` on a small base, and the logits of its
-        largest query when decoded. The limit bounds logits_rows (a
-        window's query) and logits_kinds. The position-input spans that
-        next-token and Jacobi decoding derive ahead are not queries: per
-        query kind they hold at most a kernel block
-        (_kernels_py._BLOCK_ELEMS values) beyond the largest query, which
-        is checked here too."""
+        largest query when decoded, counted per query kind. The limit
+        bounds logits_rows (a window's query) and logits_kinds (one row per
+        kind). The position-input spans that next-token and Jacobi
+        decoding derive ahead are not queries: per query kind they hold at
+        most a kernel block (_kernels_py._BLOCK_ELEMS values) beyond the
+        largest query, which is checked here too."""
         cfg = RunConfig(**{"vocab": 8, "height": 4, "width": 5, "seed": 1,
                            "cfg_scale": 1.5, **keys})
         largest = span = 0
@@ -247,10 +247,10 @@ class TestSizeLimits:
             largest = max(largest, len(positions) * self.cfg.vocab)
             return rows_query(self, positions, *args, **kwargs)
 
-        def logits_kinds(self, pos, digest, kinds, *args, **kwargs):
+        def logits_kinds(self, *args, **kwargs):
             nonlocal largest
-            largest = max(largest, len(kinds) * self.cfg.vocab)
-            return kinds_query(self, pos, digest, kinds, *args, **kwargs)
+            largest = max(largest, self.cfg.vocab)
+            return kinds_query(self, *args, **kwargs)
 
         monkeypatch.setattr(Oracle, "logits_rows", logits_rows)
         monkeypatch.setattr(Oracle, "logits_kinds", logits_kinds)

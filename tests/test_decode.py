@@ -4,9 +4,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from entropix import _kernels_py, decode, dist, speculative
+from entropix import _kernels_py, config, decode, dist, speculative
 from entropix.cli import run
 from entropix.config import RunConfig
 from entropix.decode import next_token_generate, score
@@ -15,7 +17,7 @@ from entropix.rng import RngStream
 from entropix.scales import ScaleTempParams, scale_temperature
 from entropix.speculative import (BASELINE, ENTROPY_AWARE, SpecAcceptParams,
                                   jacobi_decode)
-from entropix.temperature import TempParams, pipeline_probs, preset
+from entropix.temperature import PRESETS, TempParams, pipeline_probs, preset
 
 
 def float_digest(values):
@@ -25,24 +27,25 @@ def float_digest(values):
 
 
 class CountingOracle:
-    """Forwards queries to an oracle and counts the unconditional ones."""
+    """Forwards queries to an oracle and counts them, and the unconditional
+    kinds they ask for."""
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.uncond = 0
+        self.queries = self.uncond = 0
 
-    def _count(self, conditional):
-        self.uncond += not conditional
+    def _count(self, kinds):
+        self.queries += 1
+        self.uncond += kinds.count(False)
 
     def logits_kinds(self, pos, digest, kinds, kappa=None, inputs=None):
-        for conditional in kinds:
-            self._count(conditional)
+        self._count(kinds)
         return self.oracle.logits_kinds(pos, digest, kinds, kappa, inputs)
 
-    def logits_rows(self, positions, digests, conditional=True, kappas=None,
+    def logits_rows(self, positions, digests, kinds, kappas=None,
                     inputs=None):
-        self._count(conditional)
-        return self.oracle.logits_rows(positions, digests, conditional, kappas,
+        self._count(kinds)
+        return self.oracle.logits_rows(positions, digests, kinds, kappas,
                                        inputs)
 
 
@@ -70,7 +73,7 @@ class TestScore:
         probs, eps, t = score(oracle, positions, digests, tp, kappas=kappas,
                               **options)
         guided = cfg_scale != 1.0
-        assert oracle.uncond == guided
+        assert oracle.queries == 1 and oracle.uncond == guided
         for n, pos in enumerate(positions):
             p1, e1, t1 = score(oracle, pos, digests[n], tp,
                                kappas=None if kappas is None else kappas[n],
@@ -78,6 +81,7 @@ class TestScore:
             assert np.array_equal(p1, probs[n])
             assert e1 == eps[n] and t1 == t[n]
             assert np.ndim(e1) == 0 and np.ndim(t1) == 0
+        assert oracle.queries == 1 + len(positions)
         assert oracle.uncond == guided * (1 + len(positions))
 
     def test_matches_pipeline(self):
@@ -168,9 +172,7 @@ class FixedOracle:
     def logits_kinds(self, pos, digest, kinds, kappa=None, inputs=None):
         return [self.logits[k] for k in kinds]
 
-    def logits_rows(self, positions, digests, conditional=True, kappas=None,
-                    inputs=None):
-        return self.logits[conditional]
+    logits_rows = logits_kinds  # both queries read and return alike
 
 
 def _overflowing(row):
@@ -307,6 +309,59 @@ class TestCheckCounts:
         assert calls["validate_probs"] == 0
 
 
+class TestOneKernelCallPerQuery:
+    """A count that host noise cannot move: every batched ``score`` makes
+    one ``Oracle.logits_rows`` call and one ``raw_logits_rows`` call, which
+    score both query kinds under guidance."""
+
+    @pytest.mark.parametrize("cfg_scale", [1.0, 1.5])
+    @pytest.mark.parametrize("mode", ["mask", "next-token", "jacobi"])
+    def test_one_call_each(self, monkeypatch, mode, cfg_scale):
+        calls = {"logits_rows": 0, "raw_logits_rows": 0}
+        per_score = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recording(oracle, positions, *args, **kwargs):
+            if isinstance(positions, int):
+                return score(oracle, positions, *args, **kwargs)
+            before = dict(calls)
+            out = score(oracle, positions, *args, **kwargs)
+            per_score.append(tuple(calls[k] - before[k] for k in calls))
+            return out
+
+        monkeypatch.setattr(Oracle, "logits_rows",
+                            counted("logits_rows", Oracle.logits_rows))
+        monkeypatch.setattr(_kernels_py, "raw_logits_rows", counted(
+            "raw_logits_rows", _kernels_py.raw_logits_rows))
+        monkeypatch.setattr(decode, "score", recording)
+        monkeypatch.setattr(speculative, "score", recording)
+        prof = profile_rect((8, 8), 0.95, 0.1, (2, 2, 4, 4))
+        oracle = Oracle(OracleConfig(vocab=16, shape=(8, 8), profile=prof,
+                                     seed=3, context_sensitivity=0.5))
+        tp, rng = preset("llamagen"), RngStream(1)
+        if mode == "mask":
+            run(RunConfig(mode="mask", vocab=16, height=8, width=8,
+                          kappa_bg=0.95, kappa_fg=0.1, rect=(2, 2, 4, 4),
+                          context_sensitivity=0.5, cfg_scale=cfg_scale,
+                          steps=5, seed=1))
+        elif mode == "next-token":
+            # a span of 8 rows, so that windows run past it too
+            monkeypatch.setattr(decode, "_BLOCK_ELEMS", 8 * 16)
+            next_token_generate(oracle, 120, tp, rng, top_k=5,
+                                cfg_scale=cfg_scale)
+        else:
+            jacobi_decode(oracle, 120, 8, tp,
+                          SpecAcceptParams(mode=BASELINE), rng,
+                          cfg_scale=cfg_scale)
+        assert len(per_score) >= 5
+        assert set(per_score) == {(1, 1)}
+
+
 class TestNextTokenLongGolden:
     def test_golden_across_noise_chunks(self):
         # 2 * 512 + 3 tokens at V = 64 cross two chunks of the position
@@ -403,6 +458,95 @@ class TestVerifiedWindows:
         # a span re-derived before its last position was decoded
         assert any(start < stop for (_, stop), (start, _)
                    in zip(spans, spans[1:]))
+
+
+def naive_next_token(oracle, length, tp, rng, top_k=None, top_p=None,
+                     cfg_scale=1.0):
+    """Next-token decoding stated plainly, as the differential reference:
+    each query kind's logits of a position on its whole prefix
+    (``Oracle.logits_at``, which refolds it), the public pipeline, and a
+    draw with the next uniform. It shares no code with ``decode.score``."""
+    tokens, eps_list, temps = [], [], []
+    for pos in range(length):
+        cond = oracle.logits_at(pos, tokens)
+        uncond = oracle.logits_at(pos, tokens, conditional=False) \
+            if cfg_scale != 1.0 else None
+        probs, eps, t = pipeline_probs(cond, uncond, cfg_scale, tp, top_k,
+                                       top_p)
+        tokens.append(dist.inverse_cdf(probs, rng.uniform()))
+        eps_list.append(eps)
+        temps.append(float(t))
+    return tokens, eps_list, temps
+
+
+class TestNextTokenFuzz:
+    """Next-token decoding under context, on drawn configs and cut spans,
+    must equal the naive reference bit for bit, and the size gate must
+    count at least the largest query the decode makes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(vocab=st.integers(2, 24),
+           shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+           kappa=st.sampled_from([0.0, 0.4, 0.9, 0.97, 1.0]),
+           context=st.floats(0.01, 1.0),
+           cfg_scale=st.sampled_from([1.0, 1.0, 1.5, 3.0]),
+           tp=st.sampled_from(sorted(PRESETS)),
+           span_rows=st.integers(1, 12),
+           length=st.integers(1, 70),
+           seed=st.integers(0, 1 << 32),
+           data=st.data())
+    def test_matches_the_naive_reference(self, vocab, shape, kappa, context,
+                                         cfg_scale, tp, span_rows, length,
+                                         seed, data):
+        h, w = shape
+        # mostly one kappa, so runs of drafts verify, with a few others
+        prof = data.draw(st.lists(
+            st.sampled_from([kappa, kappa, kappa, 0.0, 0.5, 1.0]),
+            min_size=h * w, max_size=h * w))
+        filters = data.draw(st.sampled_from(["none", "top_k", "top_p"]))
+        options = dict(cfg_scale=cfg_scale)
+        if filters == "top_k":
+            options["top_k"] = data.draw(st.integers(1, vocab))
+        elif filters == "top_p":
+            options["top_p"] = data.draw(st.floats(0.05, 1.0))
+        oracle = Oracle(OracleConfig(
+            vocab=vocab, shape=shape, profile=np.reshape(prof, shape),
+            seed=seed, context_sensitivity=context))
+        want = naive_next_token(oracle, length, PRESETS[tp],
+                                RngStream(seed), **options)
+
+        largest = 0
+        rows_query = Oracle.logits_rows
+        kinds_query = Oracle.logits_kinds
+
+        def logits_rows(self, positions, *args, **kwargs):
+            nonlocal largest
+            largest = max(largest, len(positions) * vocab)
+            return rows_query(self, positions, *args, **kwargs)
+
+        def logits_kinds(self, *args, **kwargs):
+            nonlocal largest
+            largest = max(largest, vocab)  # one row per query kind
+            return kinds_query(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Oracle, "logits_rows", logits_rows)
+            mp.setattr(Oracle, "logits_kinds", logits_kinds)
+            for module in (decode, config):
+                mp.setattr(module, "_BLOCK_ELEMS", span_rows * vocab)
+            got = next_token_generate(oracle, length, PRESETS[tp],
+                                      RngStream(seed), **options)
+            assert got[0] == want[0]
+            assert float_digest(got[1]) == float_digest(want[1])
+            assert float_digest(got[2]) == float_digest(want[2])
+
+            cfg = RunConfig(mode="next-token", vocab=vocab, height=h,
+                            width=w, context_sensitivity=context,
+                            length=length, **options)
+            config._check_sizes(cfg)  # admitted at the real limit
+            mp.setattr(config, "MAX_QUERY_LOGITS", largest - 1)
+            with pytest.raises(config.ConfigValueError, match="query"):
+                config._check_sizes(cfg)
 
 
 # 8x8 at V = 16, as the goldens: mask and scale under context, next-token

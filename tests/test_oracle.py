@@ -146,7 +146,8 @@ class TestGridConditioning:
         grid[0, 0] = 3
         grid[2, 1] = 7
         # a mask step conditions on the whole grid, mask ids included
-        a = o.logits_rows([1 * 4 + 1], [o.digest_of(grid.reshape(-1))])[0]
+        a = o.logits_rows([1 * 4 + 1], [o.digest_of(grid.reshape(-1))],
+                         (True,))[0, 0]
         b = o.logits_at(1 * 4 + 1, [3, 7], [0, 9])
         np.testing.assert_array_equal(a, b)
 
@@ -261,21 +262,43 @@ class TestLogitsKinds:
         kappa = None if K is None else K[i]
         want = [o.logits_from_digest(span[i], d, kind, kappa)
                 for kind in kinds]
-        rows = [o.logits_rows([span[i]], [d], kind,
-                              None if K is None else [kappa])[0]
+        rows = [o.logits_rows([span[i]], [d], (kind,),
+                              None if K is None else [kappa])[0, 0]
                 for kind in kinds]
-        entry = list(chunk.rows())[i]
         for got in (o.logits_kinds(span[i], d, kinds, kappa),
-                    o.logits_kinds(span[i], d, kinds, inputs=entry)):
+                    o.logits_kinds(span[i], d, kinds, inputs=chunk)):
             assert got.shape == (len(kinds), vocab)
             for r in range(len(kinds)):
                 assert same_bits(got[r], want[r])
                 assert same_bits(got[r], rows[r])
         # the batched query reads the same span, its kappas included
-        for r, kind in enumerate(kinds):
-            assert same_bits(o.logits_rows([span[i]], [d], kind,
-                                           inputs=chunk)[0], want[r])
+        got = o.logits_rows([span[i]], [d], kinds, inputs=chunk)
+        assert got.shape == (len(kinds), 1, vocab)
+        for r in range(len(kinds)):
+            assert same_bits(got[r, 0], want[r])
         assert same_bits(chunk.noise, before)
+
+    def test_span_query_checks_its_inputs(self):
+        # a one-row query on a span refuses, as the batched one does, a
+        # position outside it, other query kinds and a kappa of its own
+        o = make(vocab=16, c=0.5, kappa=0.3)
+        span = o.position_inputs(range(4, 9), (True, False))
+        d = o.digest_of([1, 2])
+        for pos in (4, 8):
+            assert same_bits(o.logits_kinds(pos, d, inputs=span),
+                             o.logits_kinds(pos, d))
+        for pos in (3, 9, 100):
+            with pytest.raises(ValueError, match="a row for every position"):
+                o.logits_kinds(pos, d, inputs=span)
+            with pytest.raises(ValueError, match="a row for every position"):
+                o.logits_rows([5, pos], [d, d], inputs=span)
+        for kinds in ((True,), (False,), (False, True)):
+            with pytest.raises(ValueError, match="query kinds"):
+                o.logits_kinds(5, d, kinds, inputs=span)
+            with pytest.raises(ValueError, match="query kinds"):
+                o.logits_rows([5], [d], kinds, inputs=span)
+        with pytest.raises(ValueError, match="kappas"):
+            o.logits_kinds(5, d, kappa=0.5, inputs=span)
 
     def test_invalid_position(self):
         with pytest.raises(ValueError, match="position out of range"):
@@ -293,21 +316,27 @@ class TestLogitsRows:
         o = make(vocab=16, c=c, kappa=0.4)
         positions = [0, 3, 3, 17, 63, 200, 5000]
         digests = [o.digest_of(list(range(n % 7))) for n in positions]
-        rows = o.logits_rows(positions, digests, conditional)
+        rows = o.logits_rows(positions, digests, (conditional,))
         stacked = np.stack([o.logits_from_digest(p, d, conditional)
                             for p, d in zip(positions, digests)])
-        assert rows.shape == (len(positions), 16)
-        assert np.array_equal(rows, stacked)
+        assert rows.shape == (1, len(positions), 16)
+        assert np.array_equal(rows[0], stacked)
+        # the guidance pair in one query, in either order
+        both = o.logits_rows(positions, digests,
+                             (conditional, not conditional))
+        assert both.shape == (2, len(positions), 16)
+        assert np.array_equal(both[0], stacked)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, (1 << 70) - 1),
            shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
            vocab=st.integers(2, 40),
            c=st.sampled_from([0.0, 0.4, 1.0]),
-           conditional=st.booleans(),
+           kinds=st.sampled_from([(True,), (False,), (True, False),
+                                  (False, True)]),
            data=st.data())
     def test_rows_equal_one_row_queries(self, seed, shape, vocab, c,
-                                        conditional, data):
+                                        kinds, data):
         # the batched query derives its keys with array arithmetic and the
         # one-row query with Python ints; seeds reach past 2^64
         n = data.draw(st.integers(1, 8))
@@ -324,30 +353,35 @@ class TestLogitsRows:
         prof = (np.arange(h * w) * 7 % 11 / 10).reshape(shape)
         o = Oracle(OracleConfig(vocab=vocab, shape=shape, profile=prof,
                                 seed=seed, context_sensitivity=c))
-        rows = o.logits_rows(P, D, conditional, K)
-        assert rows.shape == (n, vocab)
-        for i in range(n):
-            one = o.logits_from_digest(P[i], D[i], conditional,
-                                       None if K is None else K[i])
-            assert np.array_equal(rows[i], one)
+        rows = o.logits_rows(P, D, kinds, K)
+        assert rows.shape == (len(kinds), n, vocab)
+        for j, kind in enumerate(kinds):
+            for i in range(n):
+                one = o.logits_from_digest(P[i], D[i], kind,
+                                           None if K is None else K[i])
+                assert np.array_equal(rows[j, i], one)
 
     def test_empty_batch(self):
         o = make(vocab=16, c=0.5)
-        assert o.logits_rows([], []).shape == (0, 16)
-        assert o.logits_rows([], [], False, []).shape == (0, 16)
+        assert o.logits_rows([], []).shape == (2, 0, 16)
+        assert o.logits_rows([], [], (False,), []).shape == (1, 0, 16)
 
     def test_kappa_override(self):
         o = make(vocab=16, c=0.5)
         rows = o.logits_rows([1, 2], [7, 9], kappas=[0.25, 0.75])
-        assert np.array_equal(rows[0], o.logits_from_digest(1, 7, kappa=0.25))
-        assert np.array_equal(rows[1], o.logits_from_digest(2, 9, kappa=0.75))
+        for j, kind in enumerate((True, False)):
+            assert np.array_equal(rows[j, 0],
+                                  o.logits_from_digest(1, 7, kind, 0.25))
+            assert np.array_equal(rows[j, 1],
+                                  o.logits_from_digest(2, 9, kind, 0.75))
 
     def test_logits_at_is_one_row(self):
         o = make(vocab=16, c=0.7)
         prefix = [3, 1, 4, 1, 5]
-        assert np.array_equal(
-            o.logits_at(5, prefix),
-            o.logits_rows([5], [o.digest_of(prefix)])[0])
+        rows = o.logits_rows([5], [o.digest_of(prefix)])
+        assert np.array_equal(o.logits_at(5, prefix), rows[0, 0])
+        assert np.array_equal(o.logits_at(5, prefix, conditional=False),
+                              rows[1, 0])
 
     @pytest.mark.parametrize("c", [0.0, 0.6])
     @pytest.mark.parametrize("conditional", [True, False])
@@ -357,16 +391,18 @@ class TestLogitsRows:
         # one digest for every row is broadcast: bit for bit the rows of
         # the query that repeats it once per row
         o = make(vocab=16, c=c, kappa=0.3)
-        inputs = o.position_inputs(range(64), (conditional,)) \
-            if with_noise else None
         positions = [0, 5, 5, 63, 17]
-        for d in (0, 12345, (1 << 63) + 7, (1 << 64) - 1,
-                  o.digest_of([3, 1, 4])):
-            got = o.logits_rows(positions, d, conditional, inputs=inputs)
-            want = o.logits_rows(positions, [d] * len(positions),
-                                 conditional, inputs=inputs)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert o.logits_rows([], 7, conditional).shape == (0, 16)
+        for kinds in ((conditional,), (conditional, not conditional)):
+            inputs = o.position_inputs(range(64), kinds) \
+                if with_noise else None
+            for d in (0, 12345, (1 << 63) + 7, (1 << 64) - 1,
+                      o.digest_of([3, 1, 4])):
+                got = o.logits_rows(positions, d, kinds, inputs=inputs)
+                want = o.logits_rows(positions, [d] * len(positions),
+                                     kinds, inputs=inputs)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+            assert o.logits_rows([], 7, kinds).shape == (len(kinds), 0, 16)
 
     def test_invalid(self):
         o = make()
@@ -389,20 +425,21 @@ class TestLogitsRows:
         positions = [39, 5, 7, 7, 21]
         digests = [5, 6, 7, 8, 9]
         for span in (o.position_inputs(range(40), (conditional,)),
-                     o.position_inputs(range(5, 40), (True, False))):
+                     o.position_inputs(range(5, 40), (True, False)),
+                     o.position_inputs(range(5, 40), (False, True))):
             before = span.noise.copy()
             for _ in range(2):
-                got = o.logits_rows(positions, digests, conditional,
+                got = o.logits_rows(positions, digests, span.kinds,
                                     inputs=span)
                 assert np.array_equal(
-                    got, o.logits_rows(positions, digests, conditional))
+                    got, o.logits_rows(positions, digests, span.kinds))
             assert np.array_equal(span.noise, before)
             with pytest.raises(ValueError, match="a row for every position"):
-                o.logits_rows([3, 40], [0, 0], conditional, inputs=span)
+                o.logits_rows([3, 40], [0, 0], span.kinds, inputs=span)
         with pytest.raises(ValueError, match="a row for every position"):
-            o.logits_rows([4], [0], conditional, inputs=span)
+            o.logits_rows([4], [0], span.kinds, inputs=span)
         with pytest.raises(ValueError, match="kappas"):
-            o.logits_rows([5], [0], conditional, [0.5], span)
-        with pytest.raises(ValueError):
-            o.logits_rows([5], [0], not conditional,
+            o.logits_rows([5], [0], span.kinds, [0.5], span)
+        with pytest.raises(ValueError, match="query kinds"):
+            o.logits_rows([5], [0], (not conditional,),
                           inputs=o.position_inputs(range(40), (conditional,)))

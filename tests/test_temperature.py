@@ -188,10 +188,9 @@ class TestPipelineRows:
                                 seed=4, context_sensitivity=c))
         positions = list(range(0, 64, 3))
         digests = [o.digest_of(list(range(p % 5))) for p in positions]
-        cond = o.logits_rows(positions, digests)
-        uncond = None
-        if "cfg_scale" in options:
-            uncond = o.logits_rows(positions, digests, conditional=False)
+        cond, uncond = o.logits_rows(positions, digests)
+        if "cfg_scale" not in options:
+            uncond = None
         probs, eps, t = pipeline_probs(cond, uncond, tp=preset("star"),
                                        **options)
         singles = [pipeline_probs(cond[n], None if uncond is None
@@ -487,8 +486,7 @@ class TestCertainNuclei:
         prof = np.linspace(0.0, 1.0, 64).reshape(8, 8)
         o = Oracle(OracleConfig(vocab=64, shape=(8, 8), profile=prof, seed=2,
                                 context_sensitivity=0.5))
-        cond = o.logits_rows(range(64), 7)
-        uncond = o.logits_rows(range(64), 7, conditional=False)
+        cond, uncond = o.logits_rows(range(64), 7)
         tp = preset("llamagen")
         for adjust in (scaled(1e-3), scaled(0.2), None):
             want = composed(cond, uncond, 1.5, tp, None, 0.9, adjust)
