@@ -3,25 +3,25 @@
     python3 benchmarks/bench_inprocess.py --out BENCH_26.json \
         parent=../parent-export change=.
 
-Each ``LABEL=ROOT`` names a checkout; the first is the baseline. Every
-checkout's ``src/entropix`` is imported side by side in this process, each
+The two arguments name the baseline checkout and the changed one. Both
+checkouts' ``src/entropix`` are imported side by side in this process, each
 under its own module objects, so one call of ``cli.run`` decodes with one
 tree's code and the next with the other's. For each workload of
 ``perfbench/workloads.py`` (read from the checkout this script lies in, and
-never edited), every tree first decodes the workload's warm-up config and
-the full config once, untimed. Then each pair decodes the full config in
-both trees on the pair's seed, the two calls back to back in an order that
-alternates from pair to pair, so that host drift falls on both sides alike.
-A decode is timed as one ``cli.run`` call (the run is built and decoded;
-no artifact is written).
+never edited), each tree first decodes the workload's warm-up config and
+the full config once, untimed. Then each of ``PAIRS`` pairs, pair i on
+seed i, decodes the full config in both trees, the two calls back to back
+in an order that alternates from pair to pair, so that host drift falls on
+both sides alike. A decode is timed as one ``cli.run`` call (the run is
+built and decoded; no artifact is written).
 
 Per workload and tree it writes the median and quartiles of the seconds a
-decode took, and per other tree against the baseline: the median of the
-per-pair ratios baseline / tree (above 1 is faster), its quartiles, and the
-share of pairs in which the tree was faster. It checks that both trees
-decode the same tokens on every seed and records the result. The record
-goes under the key ``"inprocess"`` of the ``--out`` JSON file (created if
-it does not exist, other keys kept). It asserts nothing else.
+decode took, and for the change the median of the per-pair ratios
+parent / change (above 1 is faster), its quartiles, and the share of pairs
+in which the change was faster. It checks that both trees decode the same
+tokens on every seed and records the result. The record goes under the key
+``"inprocess"`` of the ``--out`` JSON file (created if it does not exist,
+other keys kept). It asserts nothing else.
 """
 
 import argparse
@@ -39,6 +39,8 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = os.path.join(HERE, os.pardir, "perfbench", "workloads.py")
+LABELS = ("parent", "change")
+PAIRS = 40
 
 
 def _drop_package():
@@ -70,82 +72,63 @@ def load_workloads():
 
 
 def summary(values) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) \
-        if len(values) > 1 else (values[0],) * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("checkouts", nargs="+", metavar="LABEL=ROOT")
+    for label in LABELS:
+        ap.add_argument(label, metavar=f"{label}=ROOT")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0,
-                    help="the first pair's seed; pair i decodes seed + i")
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (repeatable); default all")
     args = ap.parse_args(argv)
-    trees, roots = [], {}
-    for item in args.checkouts:
-        label, sep, root = item.partition("=")
-        if not sep or not label or not root or label in roots:
-            ap.error(f"expected distinct LABEL=ROOT, got {item!r}")
-        roots[label] = root
-        trees.append((label, *load_tree(root)))
-    if len(trees) < 2 or args.pairs < 1:
-        ap.error("need two checkouts or more and one pair or more")
-    workloads = load_workloads()
-    names = args.workload or list(workloads)
+    trees = {}
+    for label in LABELS:
+        prefix, _, root = getattr(args, label).partition("=")
+        if prefix != label or not root:
+            ap.error(f"expected {label}=ROOT")
+        trees[label] = load_tree(root)
 
     record = {
         "machine": {"nproc": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
-        "trees": roots,
-        "pairs": args.pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
+        "pairs": PAIRS, "seeds": [0, PAIRS - 1],
         "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        def configs(tree, wl, seed, **overrides):
+        def configs(label, wl, seed, **overrides):
             path = os.path.join(tmp, "run.cfg")
             with open(path, "w") as f:
                 f.write(wl.config_text(seed, tmp, **overrides))
-            return tree[2].parse_config(path)
+            return trees[label][1].parse_config(path)
 
-        for name in names:
-            wl = workloads[name]
-            for tree in trees:  # untimed: the warm-up and one full decode
-                tree[1].run(configs(tree, wl, args.seed, **wl.warmup))
-                tree[1].run(configs(tree, wl, args.seed))
-            seconds = {label: [] for label, _, _ in trees}
+        for name, wl in load_workloads().items():
+            for label in LABELS:  # untimed: the warm-up and one full decode
+                trees[label][0].run(configs(label, wl, 0, **wl.warmup))
+                trees[label][0].run(configs(label, wl, 0))
+            seconds = {label: [] for label in LABELS}
             identical = True
-            for i in range(args.pairs):
-                seed = args.seed + i
-                order = trees if i % 2 == 0 else trees[::-1]
+            for seed in range(PAIRS):
                 tokens = []
-                for tree in order:
-                    cfg = configs(tree, wl, seed)
+                order = LABELS if seed % 2 == 0 else LABELS[::-1]
+                for label in order:
+                    cfg = configs(label, wl, seed)
                     t0 = time.perf_counter()
-                    res = tree[1].run(cfg)
-                    seconds[tree[0]].append(time.perf_counter() - t0)
+                    res = trees[label][0].run(cfg)
+                    seconds[label].append(time.perf_counter() - t0)
                     tokens.append(res.tokens)
-                identical &= all(np.array_equal(tokens[0], t)
-                                 for t in tokens[1:])
-            base = trees[0][0]
-            entry = {"identical_tokens": identical,
-                     "seconds": {k: summary(v) for k, v in seconds.items()},
-                     "against": base, "speedup": {}}
-            for label, _, _ in trees[1:]:
-                ratios = [b / c for b, c in zip(seconds[base],
-                                                seconds[label])]
-                entry["speedup"][label] = {
-                    **summary(ratios),
-                    "share_faster": sum(r > 1.0 for r in ratios) / len(ratios)}
-                print(f"{name}: {label} / {base} speedup "
-                      f"{entry['speedup'][label]['median']:.3f}, faster in "
-                      f"{entry['speedup'][label]['share_faster']:.0%} of "
-                      f"pairs; identical tokens {identical}",
-                      file=sys.stderr)
-            record["workloads"][name] = entry
+                identical &= np.array_equal(*tokens)
+            ratios = [p / c for p, c in zip(seconds["parent"],
+                                            seconds["change"])]
+            speedup = {**summary(ratios),
+                       "share_faster": sum(r > 1.0 for r in ratios) / PAIRS}
+            record["workloads"][name] = {
+                "identical_tokens": bool(identical),
+                "seconds": {k: summary(v) for k, v in seconds.items()},
+                "speedup": speedup}
+            print(f"{name}: change / parent speedup {speedup['median']:.3f}, "
+                  f"faster in {speedup['share_faster']:.0%} of pairs; "
+                  f"identical tokens {identical}", file=sys.stderr)
 
     doc = {}
     if os.path.exists(args.out):

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ HIST_BINS = 8
 class RunResult:
     tokens: np.ndarray  # 2-D grid
     entropy_map: np.ndarray  # same shape
-    temps: List[float]
+    temps: Sequence[float]
     tokens_emitted: int
     model_invocations: int
     stats: Optional[SpecStats]
@@ -109,7 +109,8 @@ def report_row(cfg: RunConfig, res: RunResult) -> dict:
         "acceptance_rate": res.stats.mean_acceptance_rate if res.stats else 0.0,
         "entropy_mean": float(eps.mean()),
         "entropy_var": float(eps.var()),
-        "mean_temperature": float(np.mean(res.temps)) if res.temps else 0.0,
+        "mean_temperature": (float(np.mean(res.temps)) if len(res.temps)
+                             else 0.0),
     }
     for b in range(HIST_BINS):
         row[f"hist_{b}"] = int(hist[b])

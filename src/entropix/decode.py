@@ -13,7 +13,7 @@ then verifies the next slots in one batched window, emitting exactly the
 one-position loop's tokens.
 """
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,7 +111,8 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
                         rng: RngStream, top_k: Optional[int] = None,
                         top_p: Optional[float] = None,
                         cfg_scale: float = 1.0):
-    """Sequential decoding; returns (tokens, entropies, temperatures).
+    """Sequential decoding; returns (tokens, entropies, temperatures),
+    one length-``length`` array each.
 
     With context sensitivity 0 the oracle ignores the prefix, so positions
     are scored a grid's worth at a time, one logical query each
@@ -131,8 +132,8 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     gets a draft: the token the last window drew for it, if that window
     scored it, or else, when a span first holds the position, the
     first-ranked token of its prefix-free conditional logits (``_drafts``).
-    A draft takes no random draw. Uniforms and drafts are kept by absolute
-    position, one array each.
+    A draft takes no random draw. Uniforms, drafts, tokens, entropies and
+    temperatures are kept by absolute position, one array each.
 
     While fewer than ``_MIN_WINDOW`` slots in a row drew their drafts, a
     token is one one-row step: one query of its kinds on the span (one
@@ -140,10 +141,11 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     ``dist.inverse_cdf``. Such a step extends the run only where its draw,
     its draft, had probability at least 1/2: at high entropy a draw matches
     its draft by chance, and windows opened on such matches emitted about
-    1.7 slots each. After that, the next slots are scored as one window, as a Jacobi window is:
-    one batched ``score`` on the digests of the prefix plus the drafts
-    before each slot (``RunningDigest.continuation``), each row drawn with
-    its own uniform (``dist._sample_rows``). The window emits every slot up
+    1.7 slots each. After that, the next slots are scored as one window,
+    as a Jacobi window is: one batched ``score`` on the digests of the
+    prefix plus the drafts before each slot
+    (``RunningDigest.continuation``), each row drawn with its own uniform
+    (``dist._sample_rows``). The window emits every slot up
     to and including the first whose draw differs from its draft. Each
     emitted slot's drafts before it equal the draws there, so its digest is
     the true prefix's, and its draw the one-position loop's; the drafts
@@ -157,26 +159,23 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
     The draws run ``dist``'s draw cores without revalidating: the rows
     come from ``pipeline_probs``, which builds valid distributions.
     """
-    tokens: List[int] = []
-    eps_list: List[float] = []
-    temps: List[float] = []
+    # every position's uniform, token, entropy and temperature
+    u = rng.uniforms(length)
+    tokens = np.empty(length, dtype=np.int64)
+    eps_all, temps = np.empty(length), np.empty(length)
     if oracle.cfg.context_sensitivity == 0.0:
         block = oracle.cfg.profile.size  # one grid's positions per query
         for start in range(0, length, block):
-            positions = range(start, min(start + block, length))
-            drawn, _, eps, t = score_draw(
-                oracle, positions, 0, rng.uniforms(len(positions)), tp,
-                top_k, top_p, cfg_scale)
-            tokens.extend(drawn.tolist())
-            eps_list.extend(eps.tolist())
-            temps.extend(t.tolist())
-        return tokens, eps_list, temps
+            at = slice(start, min(start + block, length))
+            tokens[at], _, eps_all[at], temps[at] = score_draw(
+                oracle, range(at.start, at.stop), 0, u[at], tp, top_k,
+                top_p, cfg_scale)
+        return tokens, eps_all, temps
     running = RunningDigest()
     kinds = query_kinds(cfg_scale)
     chunk = max(1, _BLOCK_ELEMS // oracle.cfg.vocab)
-    # every position's uniform, and its draft once a span has held it;
-    # span covers the positions up to stop
-    u = rng.uniforms(length)
+    # every position's draft once a span has held it; span covers the
+    # positions up to stop
     drafts = np.empty(length, dtype=np.int64)
     pos = stop = streak = 0
     width = _MIN_WINDOW
@@ -196,9 +195,7 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
             # rows' draws do, predicts nothing about the next slots
             sure = token == drafts[pos] and probs[token] >= 0.5
             streak = streak + 1 if sure else 0
-            tokens.append(token)
-            eps_list.append(eps)
-            temps.append(float(t))
+            tokens[pos], eps_all[pos], temps[pos] = token, eps, t
             pos += 1
             continue
         positions = np.arange(pos, pos + m)
@@ -218,11 +215,10 @@ def next_token_generate(oracle: Oracle, length: int, tp: TempParams,
             n = m
             running.advance(folds[m])
             width = min(2 * width, chunk)
-        tokens.extend(drawn[:n].tolist())
-        eps_list.extend(eps[:n].tolist())
-        temps.extend(t[:n].tolist())
+        at = slice(pos, pos + n)
+        tokens[at], eps_all[at], temps[at] = drawn[:n], eps[:n], t[:n]
         pos += n
-    return tokens, eps_list, temps
+    return tokens, eps_all, temps
 
 
 def _drafts(span: PositionInputs, lo: int) -> np.ndarray:

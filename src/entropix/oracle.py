@@ -238,6 +238,8 @@ class Oracle:
             raise ValueError("positions and digests must have equal length")
         if kappas is not None and len(kappas) != n:
             raise ValueError("one kappa per position")
+        # one kind's inputs are used as they are, on both paths; only
+        # several kinds' are offset, concatenated or tiled
         if inputs is not None:
             rows = _span_rows(inputs, pos, kinds, kappas)
             if k == 1:
@@ -254,8 +256,9 @@ class Oracle:
                     inputs.keys, inputs.targets, inputs.gaps))
                 noise = inputs.noise.reshape(-1, cfg.vocab)
         else:
-            pk, tstars, gaps = (np.concatenate(col) for col in zip(
-                *(self._row_inputs(pos, kind, kappas) for kind in kinds)))
+            per_kind = [self._row_inputs(pos, kind, kappas) for kind in kinds]
+            pk, tstars, gaps = per_kind[0] if k == 1 else (
+                np.concatenate(col) for col in zip(*per_kind))
             rows = noise = None
         if k > 1 and digests.ndim:
             digests = np.tile(digests, k)
@@ -270,12 +273,17 @@ def _span_rows(inputs: "PositionInputs", pos, kinds, kappas):
     """The columns of the span ``inputs`` that hold ``pos``, one int or an
     int64 array, checked: the span must hold every position and exactly
     the query's kinds, and it fixes the kappas."""
-    if kappas is not None or tuple(kinds) != inputs.kinds:
-        raise ValueError("the inputs fix the query kinds and the kappas")
+    if tuple(kinds) != inputs.kinds:
+        raise ValueError("the inputs hold other query kinds")
+    if kappas is not None:
+        raise ValueError("the inputs fix the kappas")
     rows, n = pos - inputs.start, inputs.keys.shape[1]
-    # a negative row, read as uint64, exceeds every valid one
-    if not (0 <= rows < n if isinstance(rows, int)
-            else not rows.size or rows.view(np.uint64).max() < n):
+    if isinstance(rows, int):
+        inside = 0 <= rows < n
+    else:
+        # a negative row, read as uint64, exceeds every valid one
+        inside = not rows.size or rows.view(np.uint64).max() < n
+    if not inside:
         raise ValueError("inputs must have a row for every position")
     return rows
 

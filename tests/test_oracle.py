@@ -293,11 +293,11 @@ class TestLogitsKinds:
             with pytest.raises(ValueError, match="a row for every position"):
                 o.logits_rows([5, pos], [d, d], inputs=span)
         for kinds in ((True,), (False,), (False, True)):
-            with pytest.raises(ValueError, match="query kinds"):
+            with pytest.raises(ValueError, match="other query kinds"):
                 o.logits_kinds(5, d, kinds, inputs=span)
-            with pytest.raises(ValueError, match="query kinds"):
+            with pytest.raises(ValueError, match="other query kinds"):
                 o.logits_rows([5], [d], kinds, inputs=span)
-        with pytest.raises(ValueError, match="kappas"):
+        with pytest.raises(ValueError, match="fix the kappas"):
             o.logits_kinds(5, d, kappa=0.5, inputs=span)
 
     def test_invalid_position(self):
@@ -438,8 +438,8 @@ class TestLogitsRows:
                 o.logits_rows([3, 40], [0, 0], span.kinds, inputs=span)
         with pytest.raises(ValueError, match="a row for every position"):
             o.logits_rows([4], [0], span.kinds, inputs=span)
-        with pytest.raises(ValueError, match="kappas"):
+        with pytest.raises(ValueError, match="fix the kappas"):
             o.logits_rows([5], [0], span.kinds, [0.5], span)
-        with pytest.raises(ValueError, match="query kinds"):
+        with pytest.raises(ValueError, match="other query kinds"):
             o.logits_rows([5], [0], (not conditional,),
                           inputs=o.position_inputs(range(40), (conditional,)))
